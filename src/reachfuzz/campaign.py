@@ -15,10 +15,13 @@ import json
 import logging
 import os
 import random
+import re
+import select
 import signal
 import subprocess
 import threading
 import time
+import weakref
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
@@ -49,19 +52,34 @@ class ExecResult:
 
 
 class Executor:
-    """Runs the target with trace capture; one executor per worker context."""
+    """Runs the target with trace capture; one executor per worker context.
+
+    A command whose mapped head is ``<python interpreter> <script>.py`` runs
+    through a fork server (``forkserver.py``) that the executor starts on
+    first use: the script is loaded once and each input runs in a forked
+    child. Every other command, a script the server cannot preload, and
+    every command when ``fork_server`` is false (the reference the tests
+    compare the server against) spawn one process per input. ``close()``
+    stops the servers; so does collecting the executor, or interpreter exit.
+    """
 
     def __init__(self, graph: CallGraph, workdir: str | Path,
                  exec_timeout: float = DEFAULT_EXEC_TIMEOUT,
                  program_map: dict[str, list[str]] | None = None,
-                 tag: str = "0"):
+                 tag: str = "0", *, fork_server: bool = True):
         self.graph = graph
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.exec_timeout = exec_timeout
         self.program_map = program_map or {}
+        self.fork_server = fork_server
+        self.missing_traces = 0
         self._input_path = self.workdir / f"input-{tag}.bin"
         self._trace_path = self.workdir / f"trace-{tag}.log"
+        self._stderr_path = self.workdir / f"stderr-{tag}.log"
+        # argv -> its running server, or None where argv is spawned
+        self._servers: dict[tuple[str, ...], ForkServer | None] = {}
+        weakref.finalize(self, _stop_servers, self._servers)
 
     def argv_for(self, command: CommandLine, input_path: Path) -> list[str]:
         head = self.program_map.get(command.program, [command.program])
@@ -69,34 +87,27 @@ class Executor:
 
     def run(self, command: CommandLine, data: bytes,
             exec_timeout: float | None = None) -> ExecResult:
-        self._input_path.write_bytes(data)
-        if self._trace_path.exists():
-            self._trace_path.unlink()
-        env = dict(os.environ)
-        env[TRACE_ENV_VAR] = str(self._trace_path)
-        argv = self.argv_for(command, self._input_path)
+        argv = tuple(self.argv_for(command, self._input_path))
+        timeout = exec_timeout if exec_timeout is not None else self.exec_timeout
         start = time.monotonic()
-        timed_out = False
-        try:
-            proc = subprocess.run(
-                argv,
-                env=env,
-                stdout=subprocess.DEVNULL,
-                stderr=subprocess.PIPE,
-                timeout=exec_timeout if exec_timeout is not None else self.exec_timeout,
-            )
-            returncode = proc.returncode
-            stderr = proc.stderr or b""
-        except subprocess.TimeoutExpired as exc:
-            timed_out = True
-            returncode = 0
-            stderr = exc.stderr or b""
-        except FileNotFoundError as exc:
-            raise ReachFuzzError(f"cannot spawn target: {exc}") from None
+        # Resolve the server first: a script's top level, run once while the
+        # server loads it, may append to the trace file.
+        server = self._server(argv)
+        self._input_path.write_bytes(data)
+        self._trace_path.unlink(missing_ok=True)
+        outcome = None
+        if server is not None:
+            outcome = server.run(timeout)
+            if outcome is None:  # the server died; spawn this input, restart next time
+                server.close()
+                del self._servers[argv]
+        if outcome is None:
+            outcome = self._spawn(argv, timeout)
+        returncode, stderr = outcome
         duration = time.monotonic() - start
         trace = self._read_trace()
         excerpt = stderr[:STDERR_EXCERPT_LIMIT].decode("utf-8", errors="replace")
-        if timed_out:
+        if returncode is None:
             return ExecResult("timeout", trace, duration, excerpt)
         if returncode < 0:
             try:
@@ -106,16 +117,139 @@ class Executor:
             return ExecResult("crash", trace, duration, excerpt, crash_class=crash_class)
         return ExecResult("clean", trace, duration, excerpt)
 
+    def close(self):
+        """Stop every fork server this executor started."""
+        _stop_servers(self._servers)
+
+    def _env(self) -> dict[str, str]:
+        env = dict(os.environ)
+        env[TRACE_ENV_VAR] = str(self._trace_path)
+        return env
+
+    def _server(self, argv: tuple[str, ...]) -> ForkServer | None:
+        if argv not in self._servers:
+            self._servers[argv] = (
+                ForkServer.start(argv, self._env(), self._stderr_path)
+                if self.fork_server and _preloadable(argv) else None)
+        return self._servers[argv]
+
+    def _spawn(self, argv: tuple[str, ...], timeout: float) -> tuple[int | None, bytes]:
+        """One process for one input: (returncode or None on timeout, stderr)."""
+        try:
+            proc = subprocess.run(argv, env=self._env(), stdout=subprocess.DEVNULL,
+                                  stderr=subprocess.PIPE, timeout=timeout)
+        except subprocess.TimeoutExpired as exc:
+            return None, exc.stderr or b""
+        except FileNotFoundError as exc:
+            raise ReachFuzzError(f"cannot spawn target: {exc}") from None
+        return proc.returncode, proc.stderr or b""
+
     def _read_trace(self) -> TraceObservation:
-        if not self._trace_path.exists():
-            log.warning("trace file missing after execution; treating trace as empty")
-            return TraceObservation([])
         try:
             names = self._trace_path.read_text(encoding="utf-8").split()
+        except FileNotFoundError:
+            self.missing_traces += 1
+            if self.missing_traces == 1:
+                log.warning("trace file missing after execution; treating trace as "
+                            "empty (warned once, counted per executor)")
+            return TraceObservation([])
         except OSError:
             log.warning("trace file unreadable; treating trace as empty")
             return TraceObservation([])
         return callgraph.observe(self.graph, names)
+
+
+# --- fork server -------------------------------------------------------------------
+
+FORKSERVER_SCRIPT = Path(__file__).with_name("forkserver.py")
+FORKSERVER_START_TIMEOUT = 10.0  # seconds for the helper to load the script
+_PYTHON = re.compile(r"python[0-9.]*")
+
+
+def _preloadable(argv: tuple[str, ...]) -> bool:
+    """True when argv is ``<python interpreter> <script>.py [args...]``."""
+    return (len(argv) >= 2 and _PYTHON.fullmatch(os.path.basename(argv[0])) is not None
+            and argv[1].endswith(".py"))
+
+
+def _stop_servers(servers: dict[tuple[str, ...], ForkServer | None]):
+    for server in servers.values():
+        if server is not None:
+            server.close()
+    servers.clear()
+
+
+class ForkServer:
+    """Orchestrator side of one ``forkserver.py`` helper process.
+
+    The helper serves one fixed argv; each request forks one child. It is
+    single-threaded and owned by one executor, so no orchestrator thread
+    ever forks.
+    """
+
+    def __init__(self, proc: subprocess.Popen, stderr_path: Path):
+        self.proc = proc
+        self.stderr_path = stderr_path
+
+    @classmethod
+    def start(cls, argv: tuple[str, ...], env: dict[str, str],
+              stderr_path: Path) -> ForkServer | None:
+        """Start the helper and wait for it to load the script; None (with
+        one warning) when it cannot, so that the caller spawns instead."""
+        python, script, *args = argv
+        try:
+            proc = subprocess.Popen(
+                [python, str(FORKSERVER_SCRIPT), str(stderr_path), script, *args],
+                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
+                stderr=subprocess.DEVNULL, env=env, bufsize=0)
+        except OSError as exc:
+            log.warning("cannot start a fork server for %s: %s", script, exc)
+            return None
+        server = cls(proc, stderr_path)
+        reply = server._reply(FORKSERVER_START_TIMEOUT)
+        if reply == b"ready\n":
+            return server
+        server.close()
+        reason = (reply.decode("utf-8", "replace").strip() if reply
+                  else "not ready in time")
+        log.warning("cannot preload %s (%s); spawning one interpreter per input",
+                    script, reason)
+        return None
+
+    def run(self, timeout: float) -> tuple[int | None, bytes] | None:
+        """Run one input: (returncode or None on timeout, stderr), or None
+        when the helper is gone. A child past the timeout is killed."""
+        try:
+            self.proc.stdin.write(b"\n")
+            pid = int(self.proc.stdout.readline())
+        except (OSError, ValueError):
+            return None
+        reply = self._reply(timeout)
+        returncode = None
+        if reply is None:
+            try:
+                os.kill(pid, signal.SIGKILL)
+            except ProcessLookupError:
+                pass
+            reply = self._reply(None)  # the helper reaps the child
+        elif reply:
+            returncode = os.waitstatus_to_exitcode(int(reply))
+        if not reply:
+            return None
+        with open(self.stderr_path, "rb") as fh:
+            return returncode, fh.read(STDERR_EXCERPT_LIMIT)
+
+    def close(self):
+        self.proc.kill()
+        self.proc.wait()
+        self.proc.stdin.close()
+        self.proc.stdout.close()
+
+    def _reply(self, timeout: float | None) -> bytes | None:
+        """One reply line; b"" when the helper is gone, None on timeout."""
+        if timeout is not None and not select.select([self.proc.stdout], [], [], timeout)[0]:
+            return None
+        return self.proc.stdout.readline()
 
 
 # --- baseline random mutation --------------------------------------------------
@@ -184,9 +318,12 @@ class CampaignConfig:
 
 @dataclass
 class CrashRecord:
+    """One distinct crash input, as first seen; ``count`` counts its sightings."""
+
     input_hash: str
     crash_class: str
     reached_target: bool
+    count: int = 1
 
 
 @dataclass
@@ -298,6 +435,7 @@ class _SharedState:
     next_refresh: float = 0.0
     corpus_files: int = 0
     fatal: Exception | None = None
+    crash_by_hash: dict[str, CrashRecord] = field(default_factory=dict)
 
 
 def run(config: CampaignConfig, provider: MutatorProvider | None, graph: CallGraph,
@@ -341,29 +479,32 @@ def run(config: CampaignConfig, provider: MutatorProvider | None, graph: CallGra
         rng = random.Random((config.rng_seed << 8) ^ widx)
         executor = Executor(graph, workdir / "exec", config.exec_timeout,
                             program_map, tag=str(widx))
-        while True:
-            now = time.monotonic()
-            with lock:
-                if state.stop or now >= deadline:
-                    return
-                _maybe_refresh(now - start, state, config, provider,
-                               program_box, strategies_box, workdir)
-                parent = state.corpus[state.next_index % len(state.corpus)]
-                state.next_index += 1
-                active = program_box[0]
-            use_program = active is not None and rng.random() < config.mix_ratio
-            if use_program:
-                data = mutator.apply(active, parent, rng, counters)
-            else:
-                data = random_mutate(parent, rng)
-            if not data:
-                continue  # degenerate mutation; next iteration re-seeds from the corpus
-            result = executor.run(config.command, data)
-            with lock:
-                if state.stop:
-                    return
-                _record(result, data, config, state, workdir, use_program,
-                        elapsed=time.monotonic() - start)
+        try:
+            while True:
+                now = time.monotonic()
+                with lock:
+                    if state.stop or now >= deadline:
+                        return
+                    _maybe_refresh(now - start, state, config, provider,
+                                   program_box, strategies_box, workdir)
+                    parent = state.corpus[state.next_index % len(state.corpus)]
+                    state.next_index += 1
+                    active = program_box[0]
+                use_program = active is not None and rng.random() < config.mix_ratio
+                if use_program:
+                    data = mutator.apply(active, parent, rng, counters)
+                else:
+                    data = random_mutate(parent, rng)
+                if not data:
+                    continue  # degenerate mutation; next iteration re-seeds from the corpus
+                result = executor.run(config.command, data)
+                with lock:
+                    if state.stop:
+                        return
+                    _record(result, data, config, state, workdir, use_program,
+                            elapsed=time.monotonic() - start)
+        finally:
+            executor.close()
 
     def guarded_worker(widx: int):
         try:
@@ -439,14 +580,20 @@ def _record(result: ExecResult, data: bytes, config: CampaignConfig,
             "new": sorted(new_functions), "sha": _sha(data),
         })
     if result.exit_kind == "crash":
-        record = CrashRecord(_sha(data), result.crash_class or "unknown", reached)
-        stats.crashes.append(record)
-        (workdir / "crashes" / f"{record.input_hash}.bin").write_bytes(data)
-        state.events.append({
-            "event": "crash", "exec": exec_index, "class": record.crash_class,
-            "reached_target": reached, "sha": record.input_hash,
-            "mutation": "program" if used_program else "random",
-        })
+        sha = _sha(data)
+        record = state.crash_by_hash.get(sha)
+        if record is not None:
+            record.count += 1
+        else:
+            record = CrashRecord(sha, result.crash_class or "unknown", reached)
+            state.crash_by_hash[sha] = record
+            stats.crashes.append(record)
+            (workdir / "crashes" / f"{sha}.bin").write_bytes(data)
+            state.events.append({
+                "event": "crash", "exec": exec_index, "class": record.crash_class,
+                "reached_target": reached, "sha": sha,
+                "mutation": "program" if used_program else "random",
+            })
         if reached and stats.time_to_first_target_crash is None:
             stats.time_to_first_target_crash = elapsed
             if config.stop_on_first:

@@ -260,16 +260,19 @@ def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
     executor = campaign.Executor(graph, prepare_dir / "exec", config.exec_timeout,
                                  _program_map(config, bug.program))
     runner = lambda data: executor.run(command, data)  # noqa: E731
-    if chain is not None:
-        outcome = seedgen.optimize_along_chain(
-            seed, chain, graph, runner, engine, opt_budget,
-            definition_source, sandbox)
-    else:
-        outcome = seedgen.optimize_by_functionality(
-            seed, graph, target, runner, engine, opt_budget,
-            random.Random(config.rng_seed), usage,
-            lambda name: summaries.get(name, stage="opt"),
-            definition_source, sandbox)
+    try:
+        if chain is not None:
+            outcome = seedgen.optimize_along_chain(
+                seed, chain, graph, runner, engine, opt_budget,
+                definition_source, sandbox)
+        else:
+            outcome = seedgen.optimize_by_functionality(
+                seed, graph, target, runner, engine, opt_budget,
+                random.Random(config.rng_seed), usage,
+                lambda name: summaries.get(name, stage="opt"),
+                definition_source, sandbox)
+    finally:
+        executor.close()
     if outcome.status != "isolated-target":
         seedgen.write_outcome(outcome, prepare_dir / "seeds")
         _dump_json(prepare_dir / "summaries.json",
@@ -286,12 +289,15 @@ def _stage_mutator(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
     executor = campaign.Executor(graph, prepare_dir / "exec", config.exec_timeout,
                                  _program_map(config, bug.program), tag="trial")
     runner = lambda data: executor.run(command, data)  # noqa: E731
-    build = mutator.build_mutator(
-        analysis, engine, outcome.best_seed.data, runner,
-        trial_duration=config.trial_duration,
-        thresholds=mutator.TrialThresholds(config.min_execs_per_sec),
-        rng=random.Random(config.rng_seed),
-    )
+    try:
+        build = mutator.build_mutator(
+            analysis, engine, outcome.best_seed.data, runner,
+            trial_duration=config.trial_duration,
+            thresholds=mutator.TrialThresholds(config.min_execs_per_sec),
+            rng=random.Random(config.rng_seed),
+        )
+    finally:
+        executor.close()
     mutator_dir = prepare_dir / "mutator"
     mutator_dir.mkdir(exist_ok=True)
     if build.accepted:
@@ -339,6 +345,11 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
         print("error: prepared bundle has no seeds", file=sys.stderr)
         return EXIT_STAGE_FAILURE
 
+    fuzz_dir = config.work_dir / "fuzz"
+    # Lazy: it starts a fork server only if a refresh runs inside campaign.run.
+    refresh_executor = campaign.Executor(graph, fuzz_dir / "exec", config.exec_timeout,
+                                         _program_map(config, command.program),
+                                         tag="refresh")
     provider: campaign.MutatorProvider | None = None
     program_path = prepare_dir / "mutator" / "program.mut"
     if not random_only:
@@ -352,10 +363,9 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
         except ReachFuzzError as exc:
             print(f"error: invalid mutator file {program_path}: {exc}", file=sys.stderr)
             return EXIT_STAGE_FAILURE
-        provider = _build_provider(config, graph, prepare_dir, command, seeds,
-                                   program, fixture_override)
+        provider = _build_provider(config, prepare_dir, seeds, program, fixture_override,
+                                   lambda data: refresh_executor.run(command, data))
 
-    fuzz_dir = config.work_dir / "fuzz"
     cfg = campaign.CampaignConfig(
         command=command,
         seeds=seeds,
@@ -368,8 +378,11 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
         stop_on_first=stop_on_first,
         workers=workers,
     )
-    stats = campaign.run(cfg, provider, graph, fuzz_dir,
-                         _program_map(config, bundle["program"]))
+    try:
+        stats = campaign.run(cfg, provider, graph, fuzz_dir,
+                             _program_map(config, bundle["program"]))
+    finally:
+        refresh_executor.close()
     campaign.save_stats(stats, fuzz_dir / "stats.json")
     timings = campaign.load_stage_timings(prepare_dir / "stage_timings.json")
     report = campaign.render_report(timings, stats)
@@ -378,10 +391,9 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
     return EXIT_OK if stats.found_target_crash else EXIT_TIMEOUT_NO_BUG
 
 
-def _build_provider(config: ProjectConfig, graph, prepare_dir: Path,
-                    command: CommandLine, seeds: list[Seed],
-                    program: mutator.MutationProgram,
-                    fixture_override: Path | None) -> campaign.MutatorProvider:
+def _build_provider(config: ProjectConfig, prepare_dir: Path, seeds: list[Seed],
+                    program: mutator.MutationProgram, fixture_override: Path | None,
+                    runner) -> campaign.MutatorProvider:
     analysis_path = prepare_dir / "analysis.json"
     strategies_path = prepare_dir / "mutator" / "strategies.json"
     try:
@@ -402,10 +414,6 @@ def _build_provider(config: ProjectConfig, graph, prepare_dir: Path,
         strategies = [mutator.MutationStrategy(**s)
                       for s in json.loads(strategies_path.read_text(encoding="utf-8"))]
     engine = Engine(load_catalog(), client)
-    executor = campaign.Executor(graph, config.work_dir / "fuzz" / "exec",
-                                 config.exec_timeout,
-                                 _program_map(config, command.program), tag="refresh")
-    runner = lambda data: executor.run(command, data)  # noqa: E731
     return campaign.LlmProvider(
         engine, analysis, seeds[0].data, runner, program, strategies,
         trial_duration=config.trial_duration,

@@ -107,10 +107,6 @@ class ScriptedFixture:
             )
         return ""
 
-    def reset_counters(self):
-        with self._lock:
-            self._match_counts = [0] * len(self.rules)
-
 
 _MATCH_LINE = re.compile(r"^match(?:\[(\d+)\])?:\s?(.*)$")
 

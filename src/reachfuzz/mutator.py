@@ -478,11 +478,6 @@ def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
                        verdict=verdict, execs=execs, target_crashes=target_crashes)
 
 
-def refresh_due(last_refresh: float, now: float,
-                period: float = DEFAULT_REFRESH_PERIOD) -> bool:
-    return now - last_refresh >= period
-
-
 # --- synthesis pipeline -------------------------------------------------------
 
 GRAMMAR_HELP = """\

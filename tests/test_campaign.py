@@ -1,7 +1,12 @@
 from __future__ import annotations
 
 import json
+import logging
+import os
 import random
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -23,6 +28,7 @@ from reachfuzz.campaign import (
     save_stats,
 )
 from reachfuzz.seedgen import CommandLine, Seed
+from reachfuzz.toys import toy_path
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -94,6 +100,194 @@ def test_execute_missing_trace_file_yields_empty_trace(tmp_path, caplog):
     assert any("trace file missing" in r.message for r in caplog.records)
 
 
+def test_execute_missing_trace_warns_once_and_counts(tmp_path, caplog):
+    graph = make_graph(["main"], [])
+    executor = Executor(graph, tmp_path, exec_timeout=2.0,
+                        program_map={"quiet": ["true"]})
+    with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
+        for _ in range(3):
+            executor.run(CommandLine("quiet", ("@@",)), b"x")
+    assert executor.missing_traces == 3
+    assert sum("trace file missing" in r.message for r in caplog.records) == 1
+
+
+# --- fork server ------------------------------------------------------------------
+
+@pytest.fixture
+def started_servers(monkeypatch):
+    """Every ForkServer.start result in order, None where preloading failed."""
+    started = []
+    start = campaign.ForkServer.start
+
+    def spy(*args, **kwargs):
+        server = start(*args, **kwargs)
+        started.append(server)
+        return server
+
+    monkeypatch.setattr(campaign.ForkServer, "start", spy)
+    return started
+
+
+@pytest.fixture(params=["fork-server", "spawn"])
+def backend_executor(request, ppm_graph, ppm_program_map, tmp_path):
+    executor = Executor(ppm_graph, tmp_path / "exec", exec_timeout=5.0,
+                        program_map=ppm_program_map,
+                        fork_server=request.param == "fork-server")
+    yield executor
+    executor.close()
+
+
+def process_gone(pid: int) -> bool:
+    return not Path(f"/proc/{pid}").exists()
+
+
+def children_of(pid: int) -> list[int]:
+    children = []
+    for stat in Path("/proc").glob("[0-9]*/stat"):
+        try:
+            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue  # the process ended while we looked
+        if ppid == pid:
+            children.append(int(stat.parent.name))
+    return children
+
+
+def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_program_map,
+                                              tmp_path, started_servers):
+    rng = random.Random(2024)
+    inputs = [PPM_SEED, PPM_CRASH]
+    for base in (PPM_SEED, PPM_CRASH):
+        for _ in range(20):
+            data = base
+            for _ in range(rng.randint(1, 4)):
+                data = random_mutate(data, rng) or base
+            inputs.append(data)
+    forked = Executor(ppm_graph, tmp_path / "fork", 5.0, ppm_program_map)
+    spawned = Executor(ppm_graph, tmp_path / "spawn", 5.0, ppm_program_map,
+                       fork_server=False)
+    kinds = set()
+    try:
+        for data in inputs:
+            got, want = forked.run(ppm_command, data), spawned.run(ppm_command, data)
+            assert (got.exit_kind, got.crash_class, got.trace.reached, got.stderr_excerpt) \
+                == (want.exit_kind, want.crash_class, want.trace.reached,
+                    want.stderr_excerpt), f"input {data!r}"
+            kinds.add((want.exit_kind, bool(want.stderr_excerpt)))
+    finally:
+        forked.close()
+        spawned.close()
+    assert len(started_servers) == 1 and started_servers[0] is not None
+    assert {("crash", False), ("clean", True), ("clean", False)} <= kinds
+
+
+STATUS_SCRIPT = """\
+import os, sys
+
+def main():
+    mode = open(sys.argv[1]).read()
+    print("stdout is discarded")
+    if mode == "code":
+        sys.exit(3)
+    if mode == "wide":
+        sys.exit(2 ** 40 + 7)
+    if mode == "message":
+        sys.exit("bad input")
+    if mode == "raise":
+        raise ValueError("boom")
+    if mode == "abort":
+        os.kill(os.getpid(), 6)
+    sys.stderr.write("no newline")
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+def test_fork_server_exit_status_matches_interpreter(tmp_path):
+    script = tmp_path / "status.py"
+    script.write_text(STATUS_SCRIPT)
+    input_path = tmp_path / "input.bin"
+    argv = (sys.executable, str(script), str(input_path))
+    server = campaign.ForkServer.start(argv, dict(os.environ), tmp_path / "stderr.log")
+    assert server is not None
+    try:
+        for mode in (b"code", b"wide", b"message", b"raise", b"abort", b"return"):
+            input_path.write_bytes(mode)
+            returncode, stderr = server.run(5.0)
+            spawned = subprocess.run(argv, capture_output=True, timeout=30)
+            assert returncode == spawned.returncode, mode
+            if mode == b"raise":  # the fork server's traceback starts at main()
+                assert stderr.startswith(b"Traceback (most recent call last):")
+                assert stderr.endswith(b"ValueError: boom\n")
+                assert spawned.stderr.endswith(b"ValueError: boom\n")
+            else:
+                assert stderr == spawned.stderr, mode
+    finally:
+        server.close()
+
+
+def test_fork_server_timeout_kills_child_and_serves_on(
+        ppm_graph, ppm_command, ppm_program_map, tmp_path, started_servers):
+    program_map = dict(ppm_program_map, sleeper=[sys.executable, str(toy_path("sleeper"))])
+    sleeper = CommandLine("sleeper", ("@@",))
+    executor = Executor(ppm_graph, tmp_path, exec_timeout=5.0, program_map=program_map)
+    try:
+        for _ in range(2):
+            start = time.monotonic()
+            result = executor.run(sleeper, b"anything", exec_timeout=0.5)
+            assert result.exit_kind == "timeout"
+            assert time.monotonic() - start < 5.0  # the 60 s sleep was cut short
+            helper = started_servers[0]
+            assert helper is not None and helper.proc.poll() is None
+            assert children_of(helper.proc.pid) == []  # killed and reaped
+        result = executor.run(ppm_command, PPM_CRASH)
+        assert (result.exit_kind, result.crash_class) == ("crash", "SIGSEGV")
+        assert [ppm_graph.name_of(f) for f in result.trace.reached] == [
+            "main", "parse_header", "parse_dims", "read_pixels"]
+        assert len(started_servers) == 2  # the sleeper's helper was not restarted
+    finally:
+        executor.close()
+
+
+def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_servers):
+    script = tmp_path / "nomain.py"
+    script.write_text(
+        "import os, sys\n"
+        "open(os.environ['RF_TRACE_FILE'], 'a').write('main\\n')\n"
+        "sys.stderr.write('read ' + open(sys.argv[1]).read() + '\\n')\n"
+        "sys.exit(3)\n")
+    graph = make_graph(["main"], [])
+    executor = Executor(graph, tmp_path / "exec", 5.0,
+                        {"nomain": [sys.executable, str(script)]})
+    with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
+        results = [executor.run(CommandLine("nomain", ("@@",)), data)
+                   for data in (b"one", b"two")]
+    executor.close()
+    assert started_servers == [None]  # tried once, then every input spawned
+    assert "cannot preload" in caplog.text
+    for result, text in zip(results, ("one", "two")):
+        assert result.exit_kind == "clean"
+        assert result.trace.reached == [0]  # nothing left over from the failed preload
+        assert result.stderr_excerpt == f"read {text}\n"
+
+
+def test_close_and_campaign_end_stop_fork_servers(
+        tmp_path, ppm_graph, ppm_command, ppm_program_map, started_servers):
+    executor = Executor(ppm_graph, tmp_path / "exec", 5.0, ppm_program_map)
+    assert executor.run(ppm_command, PPM_SEED).exit_kind == "clean"
+    config = ppm_campaign_config(ppm_command, duration_limit=0.5, stop_on_first=False)
+    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_map)
+    assert stats.total_execs > 0
+    own, campaigns = started_servers
+    assert own is not None and campaigns is not None
+    assert process_gone(campaigns.proc.pid)
+    assert not process_gone(own.proc.pid)
+    executor.close()
+    assert process_gone(own.proc.pid)
+
+
 def predicted_trace(data: bytes) -> tuple[list[str], str]:
     """Reference model of the toy validator's control flow."""
     names = ["main", "parse_header"]
@@ -117,7 +311,9 @@ def predicted_trace(data: bytes) -> tuple[list[str], str]:
     return names, "clean"
 
 
-def test_trace_fidelity_over_input_enumeration(ppm_executor, ppm_command, ppm_graph):
+def test_trace_fidelity_over_input_enumeration(backend_executor, ppm_command, ppm_graph,
+                                               started_servers):
+    ppm_executor = backend_executor
     # every combination of magic, dimension line, maxval line, and body length
     magics = [b"P6\n", b"P2\n", b"", b"P6 "]
     dim_lines = [b"2 2\n", b"0 1\n", b"2\n", b"a b\n", b""]
@@ -135,6 +331,10 @@ def test_trace_fidelity_over_input_enumeration(ppm_executor, ppm_command, ppm_gr
                     got = [ppm_graph.name_of(f) for f in result.trace.reached]
                     assert got == expected_names, f"input {data!r}"
                     assert result.exit_kind == expected_kind, f"input {data!r}"
+    if backend_executor.fork_server:  # one preloaded helper served every input
+        assert len(started_servers) == 1 and started_servers[0] is not None
+    else:
+        assert not started_servers
 
 
 # --- random mutation ----------------------------------------------------------------
@@ -248,6 +448,23 @@ def test_run_stop_on_first_records_nothing_after_crash(
     crash_execs = [e["exec"] for e in events if e["event"] == "crash" and e["reached_target"]]
     assert crash_execs
     assert stats.total_execs == crash_execs[0]  # nothing recorded past the stop
+
+
+def test_run_records_each_crash_input_once(tmp_path, ppm_graph, ppm_command,
+                                          ppm_program_map):
+    # the program has no random operands, so it yields the same few crash inputs
+    config = ppm_campaign_config(ppm_command, duration_limit=1.0, stop_on_first=False,
+                                 mix_ratio=1.0)
+    provider = StaticProvider(mutator.parse_program(CRASH_PROGRAM))
+    workdir = tmp_path / "c"
+    stats = campaign.run(config, provider, ppm_graph, workdir, ppm_program_map)
+    hashes = [c.input_hash for c in stats.crashes]
+    assert len(hashes) == len(set(hashes))
+    events = [json.loads(line) for line in (workdir / "events.log").read_text().splitlines()]
+    assert sorted(e["sha"] for e in events if e["event"] == "crash") == sorted(hashes)
+    assert sorted(p.stem for p in (workdir / "crashes").glob("*.bin")) == sorted(hashes)
+    assert sum(c.count for c in stats.crashes) == stats.total_execs  # every exec crashed
+    assert max(c.count for c in stats.crashes) > 1
 
 
 def test_run_reproducible_events_and_stats(tmp_path, ppm_graph, ppm_command, ppm_program_map):
@@ -401,6 +618,15 @@ def test_stats_round_trip(tmp_path):
                           time_to_first_target_crash=1.25)
     save_stats(stats, tmp_path / "stats.json")
     assert load_stats(tmp_path / "stats.json") == stats
+
+
+def test_load_stats_without_crash_counts(tmp_path):
+    save_stats(CampaignStats(total_execs=2, crashes=[CrashRecord("ff", "SIGSEGV", True, 2)]),
+               tmp_path / "stats.json")
+    payload = json.loads((tmp_path / "stats.json").read_text())
+    del payload["crashes"][0]["count"]  # written before crash inputs were counted
+    (tmp_path / "stats.json").write_text(json.dumps(payload))
+    assert load_stats(tmp_path / "stats.json").crashes == [CrashRecord("ff", "SIGSEGV", True)]
 
 
 def test_stage_timings_round_trip(tmp_path):

@@ -22,7 +22,6 @@ from reachfuzz.mutator import (
     build_mutator,
     parse_program,
     propose_strategies,
-    refresh_due,
     synthesize,
     trial_run,
 )
@@ -420,13 +419,6 @@ def test_trial_counts_target_crashes_without_rejecting():
                        thresholds=TrialThresholds(min_execs_per_sec=10))
     assert report.verdict == "accepted"
     assert report.target_crashes == report.execs
-
-
-def test_refresh_due():
-    assert not refresh_due(0.0, 3599.0)
-    assert refresh_due(0.0, 3600.0)
-    assert refresh_due(10.0, 15.0, period=5.0)
-    assert not refresh_due(10.0, 14.9, period=5.0)
 
 
 STRATEGY_RESPONSE = "STRATEGIES:\n- grow declared size :: overruns the buffer"

@@ -178,15 +178,18 @@ def cmd_prepare(config: ProjectConfig, fixture_override: Path | None = None,
     engine = Engine(load_catalog(), client)
     clock = StageClock()
 
+    executor = None  # one for Opt and Mutator, so a Python target is preloaded once
     try:
         graph, bug, target, chain = clock.run(
             "SA", lambda: _stage_sa(config, engine))
         usage, index = clock.run(
             "RAG", lambda: _stage_rag(config, engine, bug, prepare_dir))
+        executor = campaign.Executor(graph, prepare_dir / "exec", config.exec_timeout,
+                                     _program_map(config, bug.program))
         outcome, command, summaries = clock.run(
             "Opt",
             lambda: _stage_opt(config, engine, graph, bug, usage, target,
-                               chain, prepare_dir, opt_budget),
+                               chain, prepare_dir, opt_budget, executor),
             timed_out=lambda result: result[0].status == "timeout",
         )
         if outcome.status == "isolated-target":
@@ -196,12 +199,15 @@ def cmd_prepare(config: ProjectConfig, fixture_override: Path | None = None,
             return EXIT_ISOLATED_TARGET
         build = clock.run(
             "Mutator",
-            lambda: _stage_mutator(config, engine, graph, bug, summaries,
-                                   outcome, command, prepare_dir))
+            lambda: _stage_mutator(config, engine, bug, summaries,
+                                   outcome, command, prepare_dir, executor))
     except StageFailure as exc:
         campaign.save_stage_timings(clock.timings, prepare_dir / "stage_timings.json")
         print(f"prepare failed in stage {exc.stage}: {exc}", file=sys.stderr)
         return EXIT_STAGE_FAILURE
+    finally:
+        if executor is not None:
+            executor.close()
 
     campaign.save_stage_timings(clock.timings, prepare_dir / "stage_timings.json")
     bundle = {
@@ -245,7 +251,7 @@ def _stage_rag(config: ProjectConfig, engine: Engine, bug: BugInfo, prepare_dir:
 
 def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
                usage: ProgramUsage, target: int, chain, prepare_dir: Path,
-               opt_budget: float):
+               opt_budget: float, executor: campaign.Executor):
     definition_source = _definition_source(config, graph)
     summaries = SummaryCache(engine, definition_source)
     target_summary = summaries.get(bug.vulnerable_function, stage="opt")
@@ -257,22 +263,17 @@ def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
                                input_expectations=command.description)
     seed = Seed(data, command, ({"task": "preliminary_seed", "accepted": True},))
 
-    executor = campaign.Executor(graph, prepare_dir / "exec", config.exec_timeout,
-                                 _program_map(config, bug.program))
     runner = lambda data: executor.run(command, data)  # noqa: E731
-    try:
-        if chain is not None:
-            outcome = seedgen.optimize_along_chain(
-                seed, chain, graph, runner, engine, opt_budget,
-                definition_source, sandbox)
-        else:
-            outcome = seedgen.optimize_by_functionality(
-                seed, graph, target, runner, engine, opt_budget,
-                random.Random(config.rng_seed), usage,
-                lambda name: summaries.get(name, stage="opt"),
-                definition_source, sandbox)
-    finally:
-        executor.close()
+    if chain is not None:
+        outcome = seedgen.optimize_along_chain(
+            seed, chain, graph, runner, engine, opt_budget,
+            definition_source, sandbox)
+    else:
+        outcome = seedgen.optimize_by_functionality(
+            seed, graph, target, runner, engine, opt_budget,
+            random.Random(config.rng_seed), usage,
+            lambda name: summaries.get(name, stage="opt"),
+            definition_source, sandbox)
     if outcome.status != "isolated-target":
         seedgen.write_outcome(outcome, prepare_dir / "seeds")
         _dump_json(prepare_dir / "summaries.json",
@@ -280,24 +281,19 @@ def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
     return outcome, command, summaries
 
 
-def _stage_mutator(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
+def _stage_mutator(config: ProjectConfig, engine: Engine, bug: BugInfo,
                    summaries: SummaryCache, outcome, command: CommandLine,
-                   prepare_dir: Path) -> mutator.MutatorBuild:
+                   prepare_dir: Path, executor: campaign.Executor) -> mutator.MutatorBuild:
     target_summary = summaries.get(bug.vulnerable_function, stage="mutator")
     analysis = mutator.analyze_bug(bug, target_summary, engine, stage="mutator")
     _dump_json(prepare_dir / "analysis.json", dataclasses.asdict(analysis))
-    executor = campaign.Executor(graph, prepare_dir / "exec", config.exec_timeout,
-                                 _program_map(config, bug.program), tag="trial")
     runner = lambda data: executor.run(command, data)  # noqa: E731
-    try:
-        build = mutator.build_mutator(
-            analysis, engine, outcome.best_seed.data, runner,
-            trial_duration=config.trial_duration,
-            thresholds=mutator.TrialThresholds(config.min_execs_per_sec),
-            rng=random.Random(config.rng_seed),
-        )
-    finally:
-        executor.close()
+    build = mutator.build_mutator(
+        analysis, engine, outcome.best_seed.data, runner,
+        trial_duration=config.trial_duration,
+        thresholds=mutator.TrialThresholds(config.min_execs_per_sec),
+        rng=random.Random(config.rng_seed),
+    )
     mutator_dir = prepare_dir / "mutator"
     mutator_dir.mkdir(exist_ok=True)
     if build.accepted:

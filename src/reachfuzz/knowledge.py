@@ -26,6 +26,9 @@ DEFAULT_CHUNK_SIZE = 1200
 DEFAULT_CHUNK_OVERLAP = 200
 DEFAULT_TOP_K = 10
 EMBEDDING_DIM = 384
+EMBED_BLOCK = 256  # texts per bincount; bounds the token codes held at once
+SCORE_BLOCK = 256  # index rows per float64 block in cosine_scores
+_TOKEN = re.compile(r"\w+")
 
 INDEX_MAGIC = b"RFIX"
 INDEX_VERSION = 1
@@ -181,11 +184,27 @@ def chunk_corpus(roots: list[str | Path], chunk_size_chars: int = DEFAULT_CHUNK_
     return chunks
 
 
+class _TokenCodes(dict):
+    """token -> ``bucket + dim * sign bit``, hashing each token on first sight."""
+
+    def __init__(self, dim: int):
+        super().__init__()
+        self.dim = dim
+
+    def __missing__(self, token: str) -> int:
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        h = int.from_bytes(digest, "little")
+        code = self[token] = (h >> 1) % self.dim + self.dim * (h & 1)
+        return code
+
+
 class HashEmbedder:
     """Deterministic token-hash bag-of-words embedding.
 
     Stands in for a sentence-transformer backend in tests and offline runs;
-    identical text always maps to the identical unit vector.
+    identical text always maps to the identical unit vector. Each lowercased
+    ``\\w+`` token is hashed with blake2b-8: the low bit picks the sign and
+    the rest the bucket.
     """
 
     label = "hash-bow"
@@ -196,16 +215,38 @@ class HashEmbedder:
         self.dim = dim
 
     def embed(self, text: str) -> np.ndarray:
-        vec = np.zeros(self.dim, dtype=np.float32)
-        for token in re.findall(r"\w+", text.lower()):
-            digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
-            h = int.from_bytes(digest, "little")
-            sign = 1.0 if h & 1 else -1.0
-            vec[(h >> 1) % self.dim] += sign
-        norm = float(np.linalg.norm(vec))
-        if norm > 0.0:
-            vec /= norm
-        return vec
+        return self.embed_many([text])[0]
+
+    def embed_many(self, texts: list[str]) -> np.ndarray:
+        """Unit rows, shape ``(len(texts), dim)`` float32; empty texts give zero rows.
+
+        Each distinct token is hashed once per call, and the token counts of
+        a block of texts come from one ``np.bincount``. The counts are
+        integers, and a row's float32 sum of squares is exact while it stays
+        below 2**24 (any text of fewer than 4096 tokens), so such a row is
+        bit-identical to adding up its tokens one by one.
+        """
+        dim = self.dim
+        codes = _TokenCodes(dim)
+        vectors = np.empty((len(texts), dim), dtype=np.float32)
+        for lo in range(0, len(texts), EMBED_BLOCK):
+            block = texts[lo:lo + EMBED_BLOCK]
+            flat: list[int] = []
+            lengths = []
+            for text in block:
+                tokens = _TOKEN.findall(text.lower())
+                flat += map(codes.__getitem__, tokens)
+                lengths.append(len(tokens))
+            # shift each text's codes into its own run of 2 * dim counters
+            flat_codes = np.array(flat, dtype=np.int64)
+            flat_codes += np.repeat(np.arange(0, 2 * dim * len(block), 2 * dim), lengths)
+            counts = np.bincount(flat_codes, minlength=2 * dim * len(block))
+            counts = counts.reshape(len(block), 2, dim)
+            rows = vectors[lo:lo + len(block)]
+            np.subtract(counts[:, 1], counts[:, 0], out=rows, casting="unsafe")
+            norms = np.sqrt(np.einsum("ij,ij->i", rows, rows))[:, None]
+            np.divide(rows, norms, out=rows, where=norms > 0)
+        return vectors
 
 
 @dataclass
@@ -221,10 +262,7 @@ class EmbeddingIndex:
 
 def build_index(chunks: list[Chunk], embedder) -> EmbeddingIndex:
     dim = embedder.dim
-    if chunks:
-        vectors = np.stack([embedder.embed(c.text) for c in chunks]).astype(np.float32)
-    else:
-        vectors = np.zeros((0, dim), dtype=np.float32)
+    vectors = embedder.embed_many([c.text for c in chunks])
     if vectors.shape != (len(chunks), dim):
         raise ValueError(f"embedder produced shape {vectors.shape}, expected ({len(chunks)}, {dim})")
     if not np.all(np.isfinite(vectors)):
@@ -234,18 +272,24 @@ def build_index(chunks: list[Chunk], embedder) -> EmbeddingIndex:
                           backend_label=getattr(embedder, "label", "unknown"))
 
 
-def cosine_scores(index: EmbeddingIndex, query_vec: np.ndarray) -> list[float]:
-    """Cosine similarity per chunk; zero-norm vectors score -1 and rank last."""
+def cosine_scores(index: EmbeddingIndex, query_vec: np.ndarray) -> np.ndarray:
+    """Cosine similarity per chunk, float64; zero-norm vectors score -1 and rank last.
+
+    Rows are taken in blocks so that no float64 copy of the whole matrix is
+    held. Each dot product runs over its own row alone in ``einsum``, not in
+    a BLAS kernel whose rounding may depend on a row's position, so
+    identical rows get bit-identical scores and tie.
+    """
     q = query_vec.astype(np.float64)
     qnorm = float(np.linalg.norm(q))
-    scores: list[float] = []
-    for row in index.vectors:
-        r = row.astype(np.float64)
-        rnorm = float(np.linalg.norm(r))
-        if qnorm == 0.0 or rnorm == 0.0:
-            scores.append(-1.0)
-        else:
-            scores.append(float(np.dot(q, r) / (qnorm * rnorm)))
+    scores = np.full(len(index), -1.0)
+    if qnorm == 0.0:
+        return scores
+    for lo in range(0, len(index), SCORE_BLOCK):
+        rows = index.vectors[lo:lo + SCORE_BLOCK].astype(np.float64)
+        dots = np.einsum("ij,j->i", rows, q)
+        rnorms = np.sqrt(np.einsum("ij,ij->i", rows, rows))
+        np.divide(dots, qnorm * rnorms, out=scores[lo:lo + SCORE_BLOCK], where=rnorms > 0)
     return scores
 
 
@@ -258,8 +302,9 @@ def retrieve_top_k(index: EmbeddingIndex, query_text: str, k: int = DEFAULT_TOP_
         return []
     embedder = embedder or HashEmbedder(index.dim)
     scores = cosine_scores(index, embedder.embed(query_text))
-    order = sorted(range(len(index)), key=lambda i: (-scores[i], index.chunks[i].id))
-    return [(index.chunks[i], scores[i]) for i in order[: min(k, len(index))]]
+    ids = np.array([c.id for c in index.chunks])
+    order = np.lexsort((ids, -scores))[:k]
+    return [(index.chunks[i], float(scores[i])) for i in order]
 
 
 def save_index(index: EmbeddingIndex, path: str | Path):

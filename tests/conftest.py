@@ -78,6 +78,21 @@ def ppm_program_map() -> dict[str, list[str]]:
 
 
 @pytest.fixture
+def started_servers(monkeypatch):
+    """Every ForkServer.start result in order, None where preloading failed."""
+    started = []
+    start = campaign.ForkServer.start
+
+    def spy(*args, **kwargs):
+        server = start(*args, **kwargs)
+        started.append(server)
+        return server
+
+    monkeypatch.setattr(campaign.ForkServer, "start", spy)
+    return started
+
+
+@pytest.fixture
 def ppm_executor(ppm_graph, ppm_program_map, tmp_path) -> campaign.Executor:
     return campaign.Executor(ppm_graph, tmp_path / "exec", exec_timeout=5.0,
                              program_map=ppm_program_map)

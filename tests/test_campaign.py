@@ -113,21 +113,6 @@ def test_execute_missing_trace_warns_once_and_counts(tmp_path, caplog):
 
 # --- fork server ------------------------------------------------------------------
 
-@pytest.fixture
-def started_servers(monkeypatch):
-    """Every ForkServer.start result in order, None where preloading failed."""
-    started = []
-    start = campaign.ForkServer.start
-
-    def spy(*args, **kwargs):
-        server = start(*args, **kwargs)
-        started.append(server)
-        return server
-
-    monkeypatch.setattr(campaign.ForkServer, "start", spy)
-    return started
-
-
 @pytest.fixture(params=["fork-server", "spawn"])
 def backend_executor(request, ppm_graph, ppm_program_map, tmp_path):
     executor = Executor(ppm_graph, tmp_path / "exec", exec_timeout=5.0,

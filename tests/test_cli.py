@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import json
+from pathlib import Path
 
 import pytest
 
@@ -92,6 +93,12 @@ def test_prepare_fuzz_report_round_trip(demo_config, capsys):
     for row in ("SA:", "RAG:", "Opt:", "Mutator:", "Total:"):
         assert row in out
     assert "time to bug:" in out
+
+
+def test_prepare_starts_one_fork_server_and_stops_it(demo_config, started_servers):
+    assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
+    assert len(started_servers) == 1 and started_servers[0] is not None
+    assert not Path(f"/proc/{started_servers[0].proc.pid}").exists()
 
 
 def test_report_is_pure_function_of_files(demo_config, capsys):

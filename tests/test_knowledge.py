@@ -1,7 +1,9 @@
 from __future__ import annotations
 
+import hashlib
 import math
 import random
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from conftest import dedent, engine_from_rules
-from reachfuzz import knowledge
+from reachfuzz import demo, knowledge
 from reachfuzz.errors import TaskError
 from reachfuzz.knowledge import (
     BugInfo,
@@ -141,6 +143,75 @@ def test_hash_embedder_no_tokens_zero_vector():
     assert float(np.linalg.norm(HashEmbedder().embed("!!! ..."))) == 0.0
 
 
+def reference_embedding(text: str, dim: int = knowledge.EMBEDDING_DIM) -> np.ndarray:
+    """The per-token loop that ``embed_many`` replaced, kept as its oracle."""
+    vec = np.zeros(dim, dtype=np.float32)
+    for token in re.findall(r"\w+", text.lower()):
+        digest = hashlib.blake2b(token.encode("utf-8"), digest_size=8).digest()
+        h = int.from_bytes(digest, "little")
+        sign = 1.0 if h & 1 else -1.0
+        vec[(h >> 1) % dim] += sign
+    norm = float(np.linalg.norm(vec))
+    if norm > 0.0:
+        vec /= norm
+    return vec
+
+
+def assert_embeds_like_reference(texts: list[str], dim: int = knowledge.EMBEDDING_DIM):
+    embedder = HashEmbedder(dim)
+    got = embedder.embed_many(texts)
+    assert got.dtype == np.float32 and got.shape == (len(texts), dim)
+    for i, text in enumerate(texts):
+        assert got[i].tobytes() == reference_embedding(text, dim).tobytes(), repr(text)
+        assert embedder.embed(text).tobytes() == got[i].tobytes(), repr(text)
+
+
+def test_embed_many_matches_reference_on_demo_corpus(tmp_path):
+    corpus = demo.build_workspace(tmp_path / "demo").parent / "corpus"
+    chunks = chunk_corpus([corpus])
+    assert chunks
+    assert_embeds_like_reference([c.text for c in chunks])
+
+
+EDGE_TEXTS = ["", "!!! ...", "   \n\t", "UPPER lower MiXeD", "x_1 __ 007 9lives",
+              "İstanbul İİ", "ǅungla ß STRASSE", "ΌΣΟΣ σοφός", "ﬁne ﬀ ½ ²", "a" * 5000]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.lists(st.text(alphabet=st.sampled_from("aZq09_ İßΣσǅﬁ½.,;!-\n\t") | st.characters(),
+                        max_size=60), max_size=12),
+       st.sampled_from([1, 7, 64, knowledge.EMBEDDING_DIM]))
+def test_embed_many_matches_reference_property(texts, dim):
+    assert_embeds_like_reference(texts + EDGE_TEXTS, dim)
+
+
+@pytest.mark.parametrize("offset", [-1, 0, 1])
+def test_embed_many_matches_reference_across_blocks(offset):
+    rng = random.Random(offset)
+    words = ["Alpha", "beta", "GAMMA", "δέλτα", "row_1", "pixel", "42", "İd", "--"]
+    texts = [" ".join(rng.choices(words, k=rng.randint(0, 30)))
+             for _ in range(knowledge.EMBED_BLOCK + offset)]
+    assert_embeds_like_reference(texts)
+    index = build_index(make_chunks(texts), HashEmbedder())
+    assert not index.vectors.flags.writeable
+
+
+def test_identical_rows_tie_exactly_across_score_blocks():
+    rng = random.Random(11)
+    words = [f"w{i}" for i in range(30)]
+    texts = [" ".join(rng.choices(words, k=rng.randint(1, 15)))
+             for _ in range(3 * knowledge.SCORE_BLOCK + 5)]
+    copies = [3, knowledge.SCORE_BLOCK - 1, knowledge.SCORE_BLOCK, knowledge.SCORE_BLOCK + 1,
+              2 * knowledge.SCORE_BLOCK + 7, len(texts) - 1]
+    for i in copies:
+        texts[i] = "w1 w2 w2 w3 w5 w8 w13 w21"
+    index = build_index(make_chunks(texts), HashEmbedder())
+    scores = knowledge.cosine_scores(index, HashEmbedder().embed("w2 w3 w5 w7 w11"))
+    assert len({scores[i].tobytes() for i in copies}) == 1
+    ranked = [c.id for c, _ in retrieve_top_k(index, "w1 w2 w2 w3 w5 w8 w13 w21", k=6)]
+    assert ranked == copies
+
+
 def make_chunks(texts: list[str]) -> list[Chunk]:
     return [Chunk(i, f"f{i}.txt", (0, len(t.encode()))
                   , t) for i, t in enumerate(texts)]
@@ -169,8 +240,8 @@ def test_build_index_rejects_non_finite():
         dim = 4
         label = "bad"
 
-        def embed(self, text):
-            return np.array([np.nan, 0, 0, 0], dtype=np.float32)
+        def embed_many(self, texts):
+            return np.array([[np.nan, 0, 0, 0]] * len(texts), dtype=np.float32)
 
     with pytest.raises(ValueError, match="non-finite"):
         build_index(make_chunks(["x"]), BadEmbedder())

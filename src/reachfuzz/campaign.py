@@ -54,7 +54,10 @@ class ExecResult:
 class Executor:
     """Runs the target with trace capture; one executor per worker context.
 
-    A command whose mapped head is ``<python interpreter> <script>.py`` runs
+    ``program_exec``, when not empty, is the argv head that replaces the
+    command's program, whatever name the command gives it.
+
+    A command whose head is ``<python interpreter> <script>.py`` runs
     through a fork server (``forkserver.py``) that the executor starts on
     first use: the script is loaded once and each input runs in a forked
     child. Every other command, a script the server cannot preload, and
@@ -65,13 +68,13 @@ class Executor:
 
     def __init__(self, graph: CallGraph, workdir: str | Path,
                  exec_timeout: float = DEFAULT_EXEC_TIMEOUT,
-                 program_map: dict[str, list[str]] | None = None,
+                 program_exec: list[str] | None = None,
                  tag: str = "0", *, fork_server: bool = True):
         self.graph = graph
         self.workdir = Path(workdir)
         self.workdir.mkdir(parents=True, exist_ok=True)
         self.exec_timeout = exec_timeout
-        self.program_map = program_map or {}
+        self.program_exec = program_exec
         self.fork_server = fork_server
         self.missing_traces = 0
         self._input_path = self.workdir / f"input-{tag}.bin"
@@ -82,8 +85,8 @@ class Executor:
         weakref.finalize(self, _stop_servers, self._servers)
 
     def argv_for(self, command: CommandLine, input_path: Path) -> list[str]:
-        head = self.program_map.get(command.program, [command.program])
-        return list(head) + [arg.replace("@@", str(input_path)) for arg in command.args]
+        head = self.program_exec or [command.program]
+        return head + [arg.replace("@@", str(input_path)) for arg in command.args]
 
     def run(self, command: CommandLine, data: bytes,
             exec_timeout: float | None = None) -> ExecResult:
@@ -349,255 +352,206 @@ class CampaignStats:
         return any(c.reached_target for c in self.crashes)
 
 
-@dataclass
-class RefreshResult:
-    program: mutator.MutationProgram
-    strategies: list[mutator.MutationStrategy]
-    trial: mutator.TrialReport | None = None
-
-
-class MutatorProvider:
-    """Source of the bug-specific mutation program for a campaign.
-
-    ``initial()`` returns the starting program (or None for random-only) and
-    ``refresh(prior)`` builds a replacement strategy set and program; a
-    refresh failure returns None and the campaign degrades to the previous
-    accepted program.
-    """
-
-    def initial(self) -> mutator.MutationProgram | None:
-        raise NotImplementedError
-
-    def refresh(self, prior: list[mutator.MutationStrategy]) -> RefreshResult | None:
-        raise NotImplementedError
-
-    def strategies(self) -> list[mutator.MutationStrategy]:
-        return []
-
-
-class StaticProvider(MutatorProvider):
-    """Fixed program; refresh re-issues the same program (still counted)."""
-
-    def __init__(self, program: mutator.MutationProgram | None):
-        self._program = program
-
-    def initial(self):
-        return self._program
-
-    def refresh(self, prior):
-        if self._program is None:
-            return None
-        return RefreshResult(self._program, list(prior))
-
-
-class LlmProvider(MutatorProvider):
-    """Regenerates strategies and programs through the query engine."""
-
-    def __init__(self, engine, analysis: mutator.BugAnalysis, seed_bytes: bytes,
-                 runner, initial_program: mutator.MutationProgram | None,
-                 initial_strategies: list[mutator.MutationStrategy],
-                 trial_duration: float = mutator.DEFAULT_TRIAL_DURATION,
-                 thresholds: mutator.TrialThresholds | None = None):
-        self.engine = engine
-        self.analysis = analysis
-        self.seed_bytes = seed_bytes
-        self.runner = runner
-        self._initial = initial_program
-        self._strategies = initial_strategies
-        self.trial_duration = trial_duration
-        self.thresholds = thresholds
-
-    def initial(self):
-        return self._initial
-
-    def strategies(self):
-        return self._strategies
-
-    def refresh(self, prior):
-        build = mutator.build_mutator(
-            self.analysis, self.engine, self.seed_bytes, self.runner,
-            prior=prior, trial_duration=self.trial_duration,
-            thresholds=self.thresholds,
-        )
-        if not build.accepted:
-            return None
-        return RefreshResult(build.program, build.strategies, build.trial)
-
-
-@dataclass
-class _SharedState:
-    corpus: list[bytes]
-    covered: set[int]
-    stats: CampaignStats
-    events: list[dict]
-    next_index: int = 0
-    stop: bool = False
-    next_refresh: float = 0.0
-    corpus_files: int = 0
-    fatal: Exception | None = None
-    crash_by_hash: dict[str, CrashRecord] = field(default_factory=dict)
-
-
-def run(config: CampaignConfig, provider: MutatorProvider | None, graph: CallGraph,
-        workdir: str | Path, program_map: dict[str, list[str]] | None = None) -> CampaignStats:
+def run(config: CampaignConfig, program: mutator.MutationProgram | None, graph: CallGraph,
+        workdir: str | Path, program_exec: list[str] | None = None,
+        strategies: list[mutator.MutationStrategy] | None = None,
+        rebuild=None) -> CampaignStats:
     """Run the directed campaign until the duration limit or the first
     target-attributed crash (when stop_on_first is set).
+
+    ``program`` is the starting mutation program, or None for random-only.
+    ``rebuild(prior_strategies, runner)`` returns a ``mutator.MutatorBuild``
+    for each periodic refresh; without it a refresh re-issues the current
+    program. The first exception raised in any worker stops the campaign
+    and is re-raised here.
+    """
+    return Campaign(config, program, graph, workdir, program_exec,
+                    strategies or [], rebuild).run()
+
+
+class Campaign:
+    """The state of one campaign, shared by its workers under one lock.
 
     Inputs whose trace covers a new function join the corpus. A crash counts
     toward time-to-bug only if its trace contains the target function.
     Events are logged with logical exec indices so reproducible runs produce
-    byte-identical logs.
+    byte-identical logs. A refresh is claimed under the lock, built outside
+    it on the claiming worker's executor while the other workers fuzz on,
+    and swapped in under the lock; one refresh is in flight at a time.
     """
-    workdir = Path(workdir)
-    for sub in ("corpus", "crashes", "mutators", "exec"):
-        (workdir / sub).mkdir(parents=True, exist_ok=True)
 
-    program = provider.initial() if provider is not None else None
-    strategies = provider.strategies() if provider is not None else []
-    if program is not None:
-        (workdir / "mutators" / "active-0.mut").write_text(
-            program.render() + "\n", encoding="utf-8")
+    def __init__(self, config: CampaignConfig, program: mutator.MutationProgram | None,
+                 graph: CallGraph, workdir: str | Path, program_exec: list[str] | None,
+                 strategies: list[mutator.MutationStrategy], rebuild):
+        self.config = config
+        self.graph = graph
+        self.workdir = Path(workdir)
+        self.program_exec = program_exec
+        self.rebuild = rebuild
+        self.program = program
+        self.strategies = strategies
+        self.corpus = [bytes(s.data) for s in config.seeds]
+        self.covered: set[int] = set()
+        self.stats = CampaignStats(random_only=program is None)
+        self.events: list[dict] = []
+        self.crash_by_hash: dict[str, CrashRecord] = {}
+        self.counters = mutator.MutationCounters()
+        self.lock = threading.Lock()
+        self.next_index = 0
+        self.next_refresh = config.refresh_period
+        self.refreshing = False
+        self.stop = False
+        self.error: Exception | None = None
+        self.start = self.deadline = 0.0
 
-    state = _SharedState(
-        corpus=[bytes(s.data) for s in config.seeds],
-        covered=set(),
-        stats=CampaignStats(random_only=program is None),
-        events=[],
-        next_refresh=config.refresh_period,
-    )
-    counters = mutator.MutationCounters()
-    lock = threading.Lock()
-    program_box: list[mutator.MutationProgram | None] = [program]
-    strategies_box: list[list[mutator.MutationStrategy]] = [strategies]
-    start = time.monotonic()
-    deadline = start + config.duration_limit
+    def run(self) -> CampaignStats:
+        for sub in ("corpus", "crashes", "mutators", "exec"):
+            (self.workdir / sub).mkdir(parents=True, exist_ok=True)
+        if self.program is not None:
+            self._write_program(0)
+        self.start = time.monotonic()
+        self.deadline = self.start + self.config.duration_limit
+        self.events.append({"event": "start", "seeds": len(self.config.seeds),
+                            "random_only": self.program is None})
+        if self.config.workers == 1:
+            self._work(0)
+        else:
+            threads = [threading.Thread(target=self._work, args=(i,))
+                       for i in range(self.config.workers)]
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join()
+        if self.error is not None:
+            raise self.error
 
-    state.events.append({"event": "start", "seeds": len(config.seeds),
-                         "random_only": program is None})
+        self.stats.clamp_events = self.counters.clamp_events
+        self.stats.wall_time = time.monotonic() - self.start
+        self.events.append({"event": "finish", "total_execs": self.stats.total_execs})
+        with open(self.workdir / "events.log", "w", encoding="utf-8") as fh:
+            for event in self.events:
+                fh.write(json.dumps(event, sort_keys=True) + "\n")
+        return self.stats
 
-    def worker(widx: int):
-        rng = random.Random((config.rng_seed << 8) ^ widx)
-        executor = Executor(graph, workdir / "exec", config.exec_timeout,
-                            program_map, tag=str(widx))
+    def _work(self, widx: int):
+        """One worker; its first exception stops every worker."""
+        executor = Executor(self.graph, self.workdir / "exec", self.config.exec_timeout,
+                            self.program_exec, tag=str(widx))
         try:
-            while True:
-                now = time.monotonic()
-                with lock:
-                    if state.stop or now >= deadline:
-                        return
-                    _maybe_refresh(now - start, state, config, provider,
-                                   program_box, strategies_box, workdir)
-                    parent = state.corpus[state.next_index % len(state.corpus)]
-                    state.next_index += 1
-                    active = program_box[0]
-                use_program = active is not None and rng.random() < config.mix_ratio
-                if use_program:
-                    data = mutator.apply(active, parent, rng, counters)
-                else:
-                    data = random_mutate(parent, rng)
-                if not data:
-                    continue  # degenerate mutation; next iteration re-seeds from the corpus
-                result = executor.run(config.command, data)
-                with lock:
-                    if state.stop:
-                        return
-                    _record(result, data, config, state, workdir, use_program,
-                            elapsed=time.monotonic() - start)
+            self._fuzz(random.Random((self.config.rng_seed << 8) ^ widx), executor)
+        except Exception as exc:  # noqa: BLE001 - re-raised by run()
+            with self.lock:
+                self.stop = True
+                if self.error is None:
+                    self.error = exc
         finally:
             executor.close()
 
-    def guarded_worker(widx: int):
-        try:
-            worker(widx)
-        except ReachFuzzError as exc:
-            with lock:
-                state.fatal = exc
-                state.stop = True
+    def _fuzz(self, rng: random.Random, executor: Executor):
+        config = self.config
+        while True:
+            picked = self._pick(time.monotonic(), executor)
+            if picked is None:
+                return
+            parent, active = picked
+            use_program = active is not None and rng.random() < config.mix_ratio
+            if use_program:
+                data = mutator.apply(active, parent, rng, self.counters)
+            else:
+                data = random_mutate(parent, rng)
+            if not data:
+                continue  # degenerate mutation; next iteration re-seeds from the corpus
+            result = executor.run(config.command, data)
+            with self.lock:
+                if self.stop:
+                    return
+                self._record(result, data, use_program, time.monotonic() - self.start)
 
-    if config.workers == 1:
-        worker(0)
-    else:
-        threads = [threading.Thread(target=guarded_worker, args=(i,))
-                   for i in range(config.workers)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        if state.fatal is not None:
-            raise state.fatal
+    def _pick(self, now: float, executor: Executor):
+        """The next parent input and the active program, after running the
+        refreshes due at ``now``; None when the campaign is over."""
+        while True:
+            with self.lock:
+                if self.stop or now >= self.deadline:
+                    return None
+                n = self._claim_refresh(now)
+                if n is None:
+                    parent = self.corpus[self.next_index % len(self.corpus)]
+                    self.next_index += 1
+                    return parent, self.program
+            self._refresh(n, executor)
 
-    state.stats.clamp_events = counters.clamp_events
-    state.stats.wall_time = time.monotonic() - start
-    state.events.append({"event": "finish", "total_execs": state.stats.total_execs})
-    with open(workdir / "events.log", "w", encoding="utf-8") as fh:
-        for event in state.events:
-            fh.write(json.dumps(event, sort_keys=True) + "\n")
-    return state.stats
+    def _claim_refresh(self, now: float) -> int | None:
+        """Under the lock: the number of a due refresh this worker now owns."""
+        if (self.program is None or self.refreshing
+                or now - self.start < self.next_refresh):
+            return None
+        self.next_refresh += self.config.refresh_period
+        self.stats.refresh_events += 1
+        self.refreshing = True
+        return self.stats.refresh_events
 
+    def _refresh(self, n: int, executor: Executor):
+        """Build refresh ``n`` outside the lock, then swap it in under it."""
+        build = None
+        if self.rebuild is not None:
+            # only the refreshing worker writes the strategies
+            build = self.rebuild(self.strategies,
+                                 lambda data: executor.run(self.config.command, data))
+        with self.lock:
+            self.refreshing = False
+            if build is not None and not build.accepted:
+                self.events.append({"event": "refresh", "n": n, "swapped": False})
+                return  # keep the previous accepted program
+            if build is not None:
+                self.program, self.strategies = build.program, build.strategies
+            self._write_program(n)
+            if build is not None and build.trial is not None:
+                (self.workdir / "mutators" / f"active-{n}.trial.json").write_text(
+                    json.dumps(asdict(build.trial), indent=2, sort_keys=True) + "\n",
+                    encoding="utf-8")
+            self.events.append({"event": "refresh", "n": n, "swapped": True})
 
-def _maybe_refresh(elapsed: float, state: _SharedState, config: CampaignConfig,
-                   provider: MutatorProvider | None,
-                   program_box, strategies_box, workdir: Path):
-    if provider is None or program_box[0] is None:
-        return
-    while elapsed >= state.next_refresh:
-        state.next_refresh += config.refresh_period
-        state.stats.refresh_events += 1
-        outcome = provider.refresh(strategies_box[0])
-        if outcome is None:
-            state.events.append({"event": "refresh", "n": state.stats.refresh_events,
-                                 "swapped": False})
-            continue  # keep the previous accepted program
-        program_box[0] = outcome.program
-        strategies_box[0] = outcome.strategies
-        n = state.stats.refresh_events
-        (workdir / "mutators" / f"active-{n}.mut").write_text(
-            outcome.program.render() + "\n", encoding="utf-8")
-        if outcome.trial is not None:
-            (workdir / "mutators" / f"active-{n}.trial.json").write_text(
-                json.dumps(asdict(outcome.trial), indent=2, sort_keys=True) + "\n",
-                encoding="utf-8")
-        state.events.append({"event": "refresh", "n": n, "swapped": True})
+    def _write_program(self, n: int):
+        (self.workdir / "mutators" / f"active-{n}.mut").write_text(
+            self.program.render() + "\n", encoding="utf-8")
 
-
-def _record(result: ExecResult, data: bytes, config: CampaignConfig,
-            state: _SharedState, workdir: Path, used_program: bool, elapsed: float):
-    stats = state.stats
-    stats.total_execs += 1
-    exec_index = stats.total_execs
-    reached = result.trace.contains(config.target_function)
-    if reached:
-        stats.execs_reaching_target += 1
-    new_functions = set(result.trace.reached) - state.covered
-    if new_functions:
-        state.covered |= new_functions
-        if data:
-            state.corpus.append(data)
-            state.corpus_files += 1
-            (workdir / "corpus" / f"id-{state.corpus_files}.bin").write_bytes(data)
-        state.events.append({
-            "event": "admit", "exec": exec_index,
-            "new": sorted(new_functions), "sha": _sha(data),
-        })
-    if result.exit_kind == "crash":
-        sha = _sha(data)
-        record = state.crash_by_hash.get(sha)
-        if record is not None:
-            record.count += 1
-        else:
-            record = CrashRecord(sha, result.crash_class or "unknown", reached)
-            state.crash_by_hash[sha] = record
-            stats.crashes.append(record)
-            (workdir / "crashes" / f"{sha}.bin").write_bytes(data)
-            state.events.append({
-                "event": "crash", "exec": exec_index, "class": record.crash_class,
-                "reached_target": reached, "sha": sha,
-                "mutation": "program" if used_program else "random",
+    def _record(self, result: ExecResult, data: bytes, used_program: bool, elapsed: float):
+        stats = self.stats
+        stats.total_execs += 1
+        exec_index = stats.total_execs
+        reached = result.trace.contains(self.config.target_function)
+        if reached:
+            stats.execs_reaching_target += 1
+        new_functions = set(result.trace.reached) - self.covered
+        if new_functions:
+            self.covered |= new_functions
+            self.corpus.append(data)
+            corpus_id = len(self.corpus) - len(self.config.seeds)
+            (self.workdir / "corpus" / f"id-{corpus_id}.bin").write_bytes(data)
+            self.events.append({
+                "event": "admit", "exec": exec_index,
+                "new": sorted(new_functions), "sha": _sha(data),
             })
-        if reached and stats.time_to_first_target_crash is None:
-            stats.time_to_first_target_crash = elapsed
-            if config.stop_on_first:
-                state.stop = True
+        if result.exit_kind == "crash":
+            sha = _sha(data)
+            record = self.crash_by_hash.get(sha)
+            if record is not None:
+                record.count += 1
+            else:
+                record = CrashRecord(sha, result.crash_class or "unknown", reached)
+                self.crash_by_hash[sha] = record
+                stats.crashes.append(record)
+                (self.workdir / "crashes" / f"{sha}.bin").write_bytes(data)
+                self.events.append({
+                    "event": "crash", "exec": exec_index, "class": record.crash_class,
+                    "reached_target": reached, "sha": sha,
+                    "mutation": "program" if used_program else "random",
+                })
+            if reached and stats.time_to_first_target_crash is None:
+                stats.time_to_first_target_crash = elapsed
+                if self.config.stop_on_first:
+                    self.stop = True
 
 
 def _sha(data: bytes) -> str:

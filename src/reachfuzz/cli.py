@@ -144,12 +144,6 @@ class StageClock:
         return result
 
 
-def _program_map(config: ProjectConfig, program: str) -> dict[str, list[str]]:
-    if not config.program_exec:
-        return {}
-    return {program: shlex.split(config.program_exec)}
-
-
 def _definition_source(config: ProjectConfig, graph: callgraph.CallGraph):
     def lookup(function_name: str) -> str:
         node_id = graph.id_of(function_name)
@@ -185,7 +179,7 @@ def cmd_prepare(config: ProjectConfig, fixture_override: Path | None = None,
         usage, index = clock.run(
             "RAG", lambda: _stage_rag(config, engine, bug, prepare_dir))
         executor = campaign.Executor(graph, prepare_dir / "exec", config.exec_timeout,
-                                     _program_map(config, bug.program))
+                                     shlex.split(config.program_exec))
         outcome, command, summaries = clock.run(
             "Opt",
             lambda: _stage_opt(config, engine, graph, bug, usage, target,
@@ -341,14 +335,11 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
         print("error: prepared bundle has no seeds", file=sys.stderr)
         return EXIT_STAGE_FAILURE
 
-    fuzz_dir = config.work_dir / "fuzz"
-    # Lazy: it starts a fork server only if a refresh runs inside campaign.run.
-    refresh_executor = campaign.Executor(graph, fuzz_dir / "exec", config.exec_timeout,
-                                         _program_map(config, command.program),
-                                         tag="refresh")
-    provider: campaign.MutatorProvider | None = None
-    program_path = prepare_dir / "mutator" / "program.mut"
+    program = rebuild = None
+    strategies = []
+    mutator_dir = prepare_dir / "mutator"
     if not random_only:
+        program_path = mutator_dir / "program.mut"
         if not program_path.exists():
             print("error: bundle has no accepted mutation program; "
                   "pass --random-only to fuzz without one", file=sys.stderr)
@@ -359,8 +350,11 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
         except ReachFuzzError as exc:
             print(f"error: invalid mutator file {program_path}: {exc}", file=sys.stderr)
             return EXIT_STAGE_FAILURE
-        provider = _build_provider(config, prepare_dir, seeds, program, fixture_override,
-                                   lambda data: refresh_executor.run(command, data))
+        rebuild = _build_rebuild(config, prepare_dir, seeds, fixture_override)
+        strategies_path = mutator_dir / "strategies.json"
+        if rebuild is not None and strategies_path.exists():
+            strategies = [mutator.MutationStrategy(**s)
+                          for s in json.loads(strategies_path.read_text(encoding="utf-8"))]
 
     cfg = campaign.CampaignConfig(
         command=command,
@@ -374,11 +368,9 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
         stop_on_first=stop_on_first,
         workers=workers,
     )
-    try:
-        stats = campaign.run(cfg, provider, graph, fuzz_dir,
-                             _program_map(config, bundle["program"]))
-    finally:
-        refresh_executor.close()
+    fuzz_dir = config.work_dir / "fuzz"
+    stats = campaign.run(cfg, program, graph, fuzz_dir, shlex.split(config.program_exec),
+                         strategies, rebuild)
     campaign.save_stats(stats, fuzz_dir / "stats.json")
     timings = campaign.load_stage_timings(prepare_dir / "stage_timings.json")
     report = campaign.render_report(timings, stats)
@@ -387,34 +379,30 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
     return EXIT_OK if stats.found_target_crash else EXIT_TIMEOUT_NO_BUG
 
 
-def _build_provider(config: ProjectConfig, prepare_dir: Path, seeds: list[Seed],
-                    program: mutator.MutationProgram, fixture_override: Path | None,
-                    runner) -> campaign.MutatorProvider:
+def _build_rebuild(config: ProjectConfig, prepare_dir: Path, seeds: list[Seed],
+                   fixture_override: Path | None):
+    """The campaign's refresh source: a ``rebuild(prior, runner)`` that queries
+    the backend for a new mutator, or None when there is no backend or no
+    bug analysis, so that a refresh re-issues the current program."""
     analysis_path = prepare_dir / "analysis.json"
-    strategies_path = prepare_dir / "mutator" / "strategies.json"
     try:
         client = build_client(config, fixture_override)
     except ValueError:
         log.warning("no query backend available; mutator refresh disabled")
-        return campaign.StaticProvider(program)
+        return None
     if not analysis_path.exists():
-        return campaign.StaticProvider(program)
+        return None
     payload = json.loads(analysis_path.read_text(encoding="utf-8"))
     analysis = mutator.BugAnalysis(
         cause=payload["cause"],
         trigger_conditions=payload["trigger_conditions"],
         relevant_fields=[tuple(x) for x in payload["relevant_fields"]],
     )
-    strategies = []
-    if strategies_path.exists():
-        strategies = [mutator.MutationStrategy(**s)
-                      for s in json.loads(strategies_path.read_text(encoding="utf-8"))]
     engine = Engine(load_catalog(), client)
-    return campaign.LlmProvider(
-        engine, analysis, seeds[0].data, runner, program, strategies,
-        trial_duration=config.trial_duration,
-        thresholds=mutator.TrialThresholds(config.min_execs_per_sec),
-    )
+    thresholds = mutator.TrialThresholds(config.min_execs_per_sec)
+    return lambda prior, runner: mutator.build_mutator(
+        analysis, engine, seeds[0].data, runner, prior=prior,
+        trial_duration=config.trial_duration, thresholds=thresholds)
 
 
 def cmd_report(work_dir: Path) -> int:

@@ -45,10 +45,6 @@ class DslError(ReachFuzzError):
     """Mutation program text does not parse under the mutation grammar."""
 
 
-class HarnessFault(ReachFuzzError):
-    """Injected or observed fault in the mutation harness itself."""
-
-
 class MaterializeError(ReachFuzzError):
     """A generator payload could not be turned into input bytes."""
 

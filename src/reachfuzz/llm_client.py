@@ -8,6 +8,7 @@ against; it is deterministic and read-only after load.
 
 from __future__ import annotations
 
+import json
 import os
 import re
 import threading
@@ -205,11 +206,12 @@ class RemoteBackend:
 
     @staticmethod
     def _default_transport(url: str, payload: dict, headers: dict) -> dict:
-        import requests
+        import urllib.request  # not at module level: it loads ssl, ~3 MB of RSS per process
 
-        resp = requests.post(url, json=payload, headers=headers, timeout=120)
-        resp.raise_for_status()
-        return resp.json()
+        request = urllib.request.Request(url, data=json.dumps(payload).encode("utf-8"),
+                                         headers=headers, method="POST")
+        with urllib.request.urlopen(request, timeout=120) as resp:  # raises on HTTP errors
+            return json.loads(resp.read())
 
     def complete(self, request: LlmRequest) -> tuple[str, int | None]:
         payload = {

@@ -82,13 +82,6 @@ class Expr:
             return buf_len - self.a
         return rng.randint(self.a, self.b)
 
-    def max_value(self, assume_len: int = 0) -> int:
-        if self.kind == "abs":
-            return self.a
-        if self.kind == "end":
-            return assume_len
-        return self.b
-
     def render(self) -> str:
         prefix = f"@{self.label}=" if self.label else ""
         if self.kind == "abs":
@@ -157,21 +150,10 @@ Op = FlipBit | SetByte | InsertBytes | DeleteRange | Overwrite | AddToLE | Resiz
 class MutationProgram:
     ops: list[Op]
     strategy_refs: list[int] = field(default_factory=list)
-    created_at: float = 0.0
 
     def __post_init__(self):
         if not self.ops:
             raise DslError("a mutation program needs at least one operation")
-
-    def declared_growth(self) -> int:
-        """Upper bound on output-length growth over any input."""
-        growth = 0
-        for op in self.ops:
-            if isinstance(op, InsertBytes):
-                growth += len(op.data)
-            elif isinstance(op, ResizeTo) and op.length.kind != "end":
-                growth += max(0, op.length.max_value())
-        return growth
 
     def render(self) -> str:
         return "\n".join(_render_op(op) for op in self.ops)
@@ -257,8 +239,7 @@ def _split_args(body: str) -> list[str]:
     return args
 
 
-def parse_program(text: str, strategy_refs: list[int] | None = None,
-                  created_at: float = 0.0) -> MutationProgram:
+def parse_program(text: str, strategy_refs: list[int] | None = None) -> MutationProgram:
     """Parse mutation-language text: one op per line, ``;`` also separates ops."""
     ops: list[Op] = []
     for lineno, raw_line in enumerate(text.split("\n"), start=1):
@@ -275,7 +256,7 @@ def parse_program(text: str, strategy_refs: list[int] | None = None,
             ops.append(_build_op(name, args, where))
     if not ops:
         raise DslError("program contains no operations")
-    return MutationProgram(ops=ops, strategy_refs=strategy_refs or [], created_at=created_at)
+    return MutationProgram(ops=ops, strategy_refs=strategy_refs or [])
 
 
 def _build_op(name: str, args: list[str], where: str) -> Op:
@@ -587,7 +568,7 @@ def _run_strategy_task(engine: Engine, fillers: dict[str, str], stage: str,
 
 def synthesize(strategies: list[MutationStrategy], engine: Engine,
                stage: str = "mutator", feedback: str = "",
-               max_repairs: int = 3, now: float = 0.0) -> MutationProgram:
+               max_repairs: int = 3) -> MutationProgram:
     """Turn strategies into a parsed, grammar-valid mutation program.
 
     Parse failures feed the bounded repair loop with the offending code and
@@ -607,7 +588,7 @@ def synthesize(strategies: list[MutationStrategy], engine: Engine,
     refs = _parse_refs(answer.values.get("strategy_refs", "") or "", len(strategies))
     for _ in range(max_repairs + 1):
         try:
-            return parse_program(raw_programs[-1], strategy_refs=refs, created_at=now)
+            return parse_program(raw_programs[-1], strategy_refs=refs)
         except DslError as exc:
             if len(raw_programs) > max_repairs:
                 break
@@ -651,7 +632,7 @@ def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runn
                   thresholds: TrialThresholds | None = None,
                   max_regenerations: int = DEFAULT_MAX_REGENERATIONS,
                   rng: random.Random | None = None,
-                  stage: str = "mutator", now: float = 0.0) -> MutatorBuild:
+                  stage: str = "mutator") -> MutatorBuild:
     """Propose strategies, synthesize, trial; regenerate on rejection.
 
     After ``max_regenerations`` rejected programs the build gives up and the
@@ -662,7 +643,7 @@ def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runn
     feedback = ""
     for attempt in range(1 + max_regenerations):
         try:
-            program = synthesize(strategies, engine, stage=stage, feedback=feedback, now=now)
+            program = synthesize(strategies, engine, stage=stage, feedback=feedback)
         except TaskError:
             log.warning("mutator synthesis failed; falling back to random-only mutation")
             return MutatorBuild(None, None, strategies, attempt, rejected)

@@ -171,34 +171,6 @@ def answer_instructions(schema: AnswerSchema) -> str:
     return "\n".join(out)
 
 
-def format_answer(schema: AnswerSchema, values: dict[str, str | list[str]]) -> str:
-    """Embed values back into the schema's own labeled-answer shape."""
-    out: list[str] = []
-    for f in schema.fields:
-        if f.name not in values:
-            continue
-        value = values[f.name]
-        if f.kind == "text-line":
-            out.append(f"{f.label}: {value}")
-        elif f.kind == "text-block":
-            out.append(f"{f.label}: {value}")
-        elif f.kind == "list-of-lines":
-            out.append(f"{f.label}:")
-            items = value if isinstance(value, list) else [value]
-            out.extend(items)
-        else:
-            body = value if isinstance(value, str) else "\n".join(value)
-            fence = "```"
-            while fence in body:
-                fence += "`"
-            out.append(f"{f.label}:")
-            out.append(fence)
-            if body:
-                out.append(body)
-            out.append(fence)
-    return "\n".join(out)
-
-
 _FENCE = re.compile(r"^(`{3,})\s*\w*\s*$")
 
 

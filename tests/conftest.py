@@ -8,8 +8,10 @@ import pytest
 
 from reachfuzz import campaign, demo
 from reachfuzz.callgraph import CallGraph, FunctionNode
+from reachfuzz.errors import ReachFuzzError
 from reachfuzz.llm_client import FixtureRule, LlmClient, ScriptedBackend, ScriptedFixture
-from reachfuzz.query_engine import Engine, load_catalog
+from reachfuzz.mutator import InsertBytes, MutationProgram, ResizeTo
+from reachfuzz.query_engine import AnswerSchema, Engine, load_catalog
 from reachfuzz.seedgen import CommandLine
 from reachfuzz.toys import toy_path
 
@@ -73,8 +75,8 @@ def ppm_command() -> CommandLine:
 
 
 @pytest.fixture(scope="session")
-def ppm_program_map() -> dict[str, list[str]]:
-    return {"ppmcheck": [sys.executable, str(toy_path("ppmcheck"))]}
+def ppm_program_exec() -> list[str]:
+    return [sys.executable, str(toy_path("ppmcheck"))]
 
 
 @pytest.fixture
@@ -93,9 +95,9 @@ def started_servers(monkeypatch):
 
 
 @pytest.fixture
-def ppm_executor(ppm_graph, ppm_program_map, tmp_path) -> campaign.Executor:
+def ppm_executor(ppm_graph, ppm_program_exec, tmp_path) -> campaign.Executor:
     return campaign.Executor(ppm_graph, tmp_path / "exec", exec_timeout=5.0,
-                             program_map=ppm_program_map)
+                             program_exec=ppm_program_exec)
 
 
 @pytest.fixture
@@ -107,3 +109,49 @@ def ppm_runner(ppm_executor, ppm_command):
 def demo_config(tmp_path) -> Path:
     """Fully assembled demo workspace; returns the project config path."""
     return demo.build_workspace(tmp_path / "demo")
+
+
+# --- oracles used only by the tests --------------------------------------------
+
+class HarnessFault(ReachFuzzError):
+    """Injected fault in the mutation harness itself."""
+
+
+def declared_growth(program: MutationProgram) -> int:
+    """Upper bound on a program's output-length growth over any input."""
+    growth = 0
+    for op in program.ops:
+        if isinstance(op, InsertBytes):
+            growth += len(op.data)
+        elif isinstance(op, ResizeTo) and op.length.kind != "end":
+            # an absolute length, or the upper end of a random one
+            growth += max(0, op.length.a if op.length.kind == "abs" else op.length.b)
+    return growth
+
+
+def format_answer(schema: AnswerSchema, values: dict[str, str | list[str]]) -> str:
+    """Embed values back into the schema's own labeled-answer shape."""
+    out: list[str] = []
+    for f in schema.fields:
+        if f.name not in values:
+            continue
+        value = values[f.name]
+        if f.kind == "text-line":
+            out.append(f"{f.label}: {value}")
+        elif f.kind == "text-block":
+            out.append(f"{f.label}: {value}")
+        elif f.kind == "list-of-lines":
+            out.append(f"{f.label}:")
+            items = value if isinstance(value, list) else [value]
+            out.extend(items)
+        else:
+            body = value if isinstance(value, str) else "\n".join(value)
+            fence = "```"
+            while fence in body:
+                fence += "`"
+            out.append(f"{f.label}:")
+            out.append(fence)
+            if body:
+                out.append(body)
+            out.append(fence)
+    return "\n".join(out)

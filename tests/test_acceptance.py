@@ -13,10 +13,10 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PPM_SEED, engine_from_rules, make_graph
+from conftest import PPM_SEED, declared_growth, engine_from_rules, make_graph
 from reachfuzz import callgraph, campaign, cli, demo, mutator
 from reachfuzz.callgraph import CallChain, TraceObservation
-from reachfuzz.campaign import CampaignConfig, CampaignStats, StageTiming, StaticProvider
+from reachfuzz.campaign import CampaignConfig, CampaignStats, StageTiming
 from reachfuzz.knowledge import Chunk, HashEmbedder, build_index, retrieve_top_k
 from reachfuzz.mutator import MutationStrategy, TrialThresholds
 from reachfuzz.seedgen import CommandLine, Seed
@@ -188,9 +188,9 @@ def test_mutator_repair_then_accept(catalog, ppm_runner):
 
 
 def test_mutator_rejects_giant_resize_with_bounded_regeneration(
-        catalog, ppm_graph, ppm_command, ppm_program_map, tmp_path):
+        catalog, ppm_graph, ppm_command, ppm_program_exec, tmp_path):
     executor = campaign.Executor(ppm_graph, tmp_path / "exec", exec_timeout=30.0,
-                                 program_map=ppm_program_map)
+                                 program_exec=ppm_program_exec)
     runner = lambda data: executor.run(ppm_command, data)  # noqa: E731
     engine = engine_from_rules(
         catalog,
@@ -226,20 +226,19 @@ def prepared(tmp_path_factory):
     command = CommandLine("ppmcheck", ("@@",))
     seed_files = sorted((prepare_dir / "seeds").glob("seed-*.bin"))
     seeds = [Seed(p.read_bytes(), command) for p in seed_files]
-    program_map = {"ppmcheck": shlex.split(config.program_exec)}
     return dict(config=config, graph=graph, program=program, command=command,
-                seeds=seeds, program_map=program_map, root=root)
+                seeds=seeds, program_exec=shlex.split(config.program_exec), root=root)
 
 
-def run_campaign(prepared, workdir, *, seeds, provider, rng_seed, duration,
+def run_campaign(prepared, workdir, *, seeds, program, rng_seed, duration,
                  stop_on_first=True, mix_ratio=0.8, refresh_period=3600.0):
     cfg = CampaignConfig(
         command=prepared["command"], seeds=seeds, target_function=3,
         duration_limit=duration, exec_timeout=5.0, rng_seed=rng_seed,
         mix_ratio=mix_ratio, refresh_period=refresh_period,
         stop_on_first=stop_on_first, workers=1)
-    return campaign.run(cfg, provider, prepared["graph"], workdir,
-                        prepared["program_map"])
+    return campaign.run(cfg, program, prepared["graph"], workdir,
+                        prepared["program_exec"])
 
 
 # --- 6. directed campaign beats random-only ----------------------------------------
@@ -251,13 +250,13 @@ def test_directedness_payoff(prepared, tmp_path):
     for i, rng_seed in enumerate((11, 22, 33, 44, 55)):
         directed = run_campaign(
             prepared, tmp_path / f"directed-{i}", seeds=prepared["seeds"],
-            provider=StaticProvider(prepared["program"]), rng_seed=rng_seed,
+            program=prepared["program"], rng_seed=rng_seed,
             duration=60.0)
         assert directed.found_target_crash
         times_to_bug.append(directed.time_to_first_target_crash)
         random_only = run_campaign(
             prepared, tmp_path / f"random-{i}", seeds=blank_seed,
-            provider=None, rng_seed=rng_seed, duration=5.0)
+            program=None, rng_seed=rng_seed, duration=5.0)
         if random_only.total_execs >= 5 * directed.total_execs:
             pair_wins += 1
     assert pair_wins >= 4, f"only {pair_wins} of 5 pairs showed a 5x exec gap"
@@ -272,7 +271,7 @@ def test_campaign_determinism(prepared, tmp_path):
     results = []
     for name in ("first", "second"):
         stats = run_campaign(prepared, tmp_path / name, seeds=prepared["seeds"],
-                             provider=StaticProvider(prepared["program"]),
+                             program=prepared["program"],
                              rng_seed=424242, duration=60.0)
         events = (tmp_path / name / "events.log").read_bytes()
         results.append((stats, events))
@@ -308,7 +307,7 @@ def test_report_schema_and_total_arithmetic():
 
 def test_refresh_event_bound(prepared, tmp_path):
     stats = run_campaign(prepared, tmp_path / "refresh", seeds=prepared["seeds"],
-                         provider=StaticProvider(prepared["program"]),
+                         program=prepared["program"],
                          rng_seed=5, duration=30.0, stop_on_first=False,
                          refresh_period=5.0)
     assert 5 <= stats.refresh_events <= 7, f"refresh events: {stats.refresh_events}"
@@ -362,5 +361,5 @@ def test_mutation_purity_sweep():
         first = mutator.apply(program, data, random.Random(stream_seed))
         second = mutator.apply(program, data, random.Random(stream_seed))
         assert first == second, "replaying the stream must reproduce the mutation"
-        assert len(first) <= len(data) + program.declared_growth()
+        assert len(first) <= len(data) + declared_growth(program)
     ok("10^4 random programs replay byte-identically within declared growth bounds")

@@ -6,6 +6,7 @@ import os
 import random
 import subprocess
 import sys
+import threading
 import time
 from pathlib import Path
 
@@ -19,7 +20,6 @@ from reachfuzz.campaign import (
     CrashRecord,
     Executor,
     StageTiming,
-    StaticProvider,
     load_stage_timings,
     load_stats,
     random_mutate,
@@ -67,14 +67,14 @@ def test_execute_reject_path(ppm_executor, ppm_command, ppm_graph):
     assert "not a raw PPM" in result.stderr_excerpt
 
 
-def test_execute_timeout(tmp_path, ppm_program_map):
+def test_execute_timeout(tmp_path, ppm_program_exec):
     import sys
 
     from reachfuzz.toys import toy_path
 
     graph = make_graph(["main"], [])
     executor = Executor(graph, tmp_path, exec_timeout=0.2,
-                        program_map={"sleeper": [sys.executable, str(toy_path("sleeper"))]})
+                        program_exec=[sys.executable, str(toy_path("sleeper"))])
     result = executor.run(CommandLine("sleeper", ("@@",)), b"anything")
     assert result.exit_kind == "timeout"
 
@@ -91,8 +91,7 @@ def test_execute_missing_trace_file_yields_empty_trace(tmp_path, caplog):
 
     # `true` ignores the trace protocol entirely, so no trace file appears
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, exec_timeout=2.0,
-                        program_map={"quiet": ["true"]})
+    executor = Executor(graph, tmp_path, exec_timeout=2.0, program_exec=["true"])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
         result = executor.run(CommandLine("quiet", ("@@",)), b"x")
     assert result.exit_kind == "clean"
@@ -102,8 +101,7 @@ def test_execute_missing_trace_file_yields_empty_trace(tmp_path, caplog):
 
 def test_execute_missing_trace_warns_once_and_counts(tmp_path, caplog):
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, exec_timeout=2.0,
-                        program_map={"quiet": ["true"]})
+    executor = Executor(graph, tmp_path, exec_timeout=2.0, program_exec=["true"])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
         for _ in range(3):
             executor.run(CommandLine("quiet", ("@@",)), b"x")
@@ -114,9 +112,9 @@ def test_execute_missing_trace_warns_once_and_counts(tmp_path, caplog):
 # --- fork server ------------------------------------------------------------------
 
 @pytest.fixture(params=["fork-server", "spawn"])
-def backend_executor(request, ppm_graph, ppm_program_map, tmp_path):
+def backend_executor(request, ppm_graph, ppm_program_exec, tmp_path):
     executor = Executor(ppm_graph, tmp_path / "exec", exec_timeout=5.0,
-                        program_map=ppm_program_map,
+                        program_exec=ppm_program_exec,
                         fork_server=request.param == "fork-server")
     yield executor
     executor.close()
@@ -138,7 +136,7 @@ def children_of(pid: int) -> list[int]:
     return children
 
 
-def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_program_map,
+def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_program_exec,
                                               tmp_path, started_servers):
     rng = random.Random(2024)
     inputs = [PPM_SEED, PPM_CRASH]
@@ -148,8 +146,8 @@ def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_progra
             for _ in range(rng.randint(1, 4)):
                 data = random_mutate(data, rng) or base
             inputs.append(data)
-    forked = Executor(ppm_graph, tmp_path / "fork", 5.0, ppm_program_map)
-    spawned = Executor(ppm_graph, tmp_path / "spawn", 5.0, ppm_program_map,
+    forked = Executor(ppm_graph, tmp_path / "fork", 5.0, ppm_program_exec)
+    spawned = Executor(ppm_graph, tmp_path / "spawn", 5.0, ppm_program_exec,
                        fork_server=False)
     kinds = set()
     try:
@@ -213,11 +211,11 @@ def test_fork_server_exit_status_matches_interpreter(tmp_path):
         server.close()
 
 
-def test_fork_server_timeout_kills_child_and_serves_on(
-        ppm_graph, ppm_command, ppm_program_map, tmp_path, started_servers):
-    program_map = dict(ppm_program_map, sleeper=[sys.executable, str(toy_path("sleeper"))])
-    sleeper = CommandLine("sleeper", ("@@",))
-    executor = Executor(ppm_graph, tmp_path, exec_timeout=5.0, program_map=program_map)
+def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, started_servers):
+    # no program_exec: each command names its interpreter and script itself
+    sleeper = CommandLine(sys.executable, (str(toy_path("sleeper")), "@@"))
+    ppm_command = CommandLine(sys.executable, (str(toy_path("ppmcheck")), "@@"))
+    executor = Executor(ppm_graph, tmp_path, exec_timeout=5.0)
     try:
         for _ in range(2):
             start = time.monotonic()
@@ -244,8 +242,7 @@ def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_serve
         "sys.stderr.write('read ' + open(sys.argv[1]).read() + '\\n')\n"
         "sys.exit(3)\n")
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path / "exec", 5.0,
-                        {"nomain": [sys.executable, str(script)]})
+    executor = Executor(graph, tmp_path / "exec", 5.0, [sys.executable, str(script)])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
         results = [executor.run(CommandLine("nomain", ("@@",)), data)
                    for data in (b"one", b"two")]
@@ -259,11 +256,11 @@ def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_serve
 
 
 def test_close_and_campaign_end_stop_fork_servers(
-        tmp_path, ppm_graph, ppm_command, ppm_program_map, started_servers):
-    executor = Executor(ppm_graph, tmp_path / "exec", 5.0, ppm_program_map)
+        tmp_path, ppm_graph, ppm_command, ppm_program_exec, started_servers):
+    executor = Executor(ppm_graph, tmp_path / "exec", 5.0, ppm_program_exec)
     assert executor.run(ppm_command, PPM_SEED).exit_kind == "clean"
     config = ppm_campaign_config(ppm_command, duration_limit=0.5, stop_on_first=False)
-    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_map)
+    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_exec)
     assert stats.total_execs > 0
     own, campaigns = started_servers
     assert own is not None and campaigns is not None
@@ -381,10 +378,10 @@ def test_config_validation(ppm_command):
         ppm_campaign_config(ppm_command, refresh_period=0.0)
 
 
-def test_run_finds_target_crash(tmp_path, ppm_graph, ppm_command, ppm_program_map):
+def test_run_finds_target_crash(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
     config = ppm_campaign_config(ppm_command)
-    provider = StaticProvider(mutator.parse_program(CRASH_PROGRAM))
-    stats = campaign.run(config, provider, ppm_graph, tmp_path / "c", ppm_program_map)
+    program = mutator.parse_program(CRASH_PROGRAM)
+    stats = campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec)
     assert stats.found_target_crash
     assert stats.time_to_first_target_crash is not None
     assert stats.execs_reaching_target >= 1
@@ -394,26 +391,26 @@ def test_run_finds_target_crash(tmp_path, ppm_graph, ppm_command, ppm_program_ma
     assert (tmp_path / "c" / "events.log").exists()
 
 
-def test_run_random_only_flagged(tmp_path, ppm_graph, ppm_command, ppm_program_map):
+def test_run_random_only_flagged(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
     config = ppm_campaign_config(ppm_command, duration_limit=0.5)
-    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_map)
+    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_exec)
     assert stats.random_only
     assert stats.total_execs > 0
 
 
-def test_run_zero_duration(tmp_path, ppm_graph, ppm_command, ppm_program_map):
+def test_run_zero_duration(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
     config = ppm_campaign_config(ppm_command, duration_limit=0.0)
-    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_map)
+    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_exec)
     assert stats.total_execs == 0
     assert stats.time_to_first_target_crash is None
     assert not stats.crashes
 
 
-def test_run_corpus_grows_monotonically(tmp_path, ppm_graph, ppm_command, ppm_program_map):
+def test_run_corpus_grows_monotonically(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
     config = ppm_campaign_config(ppm_command, duration_limit=1.5, stop_on_first=False)
-    provider = StaticProvider(mutator.parse_program(CRASH_PROGRAM))
+    program = mutator.parse_program(CRASH_PROGRAM)
     workdir = tmp_path / "c"
-    campaign.run(config, provider, ppm_graph, workdir, ppm_program_map)
+    campaign.run(config, program, ppm_graph, workdir, ppm_program_exec)
     covered: set[int] = set()
     for line in (workdir / "events.log").read_text().splitlines():
         event = json.loads(line)
@@ -424,11 +421,11 @@ def test_run_corpus_grows_monotonically(tmp_path, ppm_graph, ppm_command, ppm_pr
 
 
 def test_run_stop_on_first_records_nothing_after_crash(
-        tmp_path, ppm_graph, ppm_command, ppm_program_map):
+        tmp_path, ppm_graph, ppm_command, ppm_program_exec):
     config = ppm_campaign_config(ppm_command)
-    provider = StaticProvider(mutator.parse_program(CRASH_PROGRAM))
+    program = mutator.parse_program(CRASH_PROGRAM)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, provider, ppm_graph, workdir, ppm_program_map)
+    stats = campaign.run(config, program, ppm_graph, workdir, ppm_program_exec)
     events = [json.loads(line) for line in (workdir / "events.log").read_text().splitlines()]
     crash_execs = [e["exec"] for e in events if e["event"] == "crash" and e["reached_target"]]
     assert crash_execs
@@ -436,13 +433,13 @@ def test_run_stop_on_first_records_nothing_after_crash(
 
 
 def test_run_records_each_crash_input_once(tmp_path, ppm_graph, ppm_command,
-                                          ppm_program_map):
+                                          ppm_program_exec):
     # the program has no random operands, so it yields the same few crash inputs
     config = ppm_campaign_config(ppm_command, duration_limit=1.0, stop_on_first=False,
                                  mix_ratio=1.0)
-    provider = StaticProvider(mutator.parse_program(CRASH_PROGRAM))
+    program = mutator.parse_program(CRASH_PROGRAM)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, provider, ppm_graph, workdir, ppm_program_map)
+    stats = campaign.run(config, program, ppm_graph, workdir, ppm_program_exec)
     hashes = [c.input_hash for c in stats.crashes]
     assert len(hashes) == len(set(hashes))
     events = [json.loads(line) for line in (workdir / "events.log").read_text().splitlines()]
@@ -452,64 +449,62 @@ def test_run_records_each_crash_input_once(tmp_path, ppm_graph, ppm_command,
     assert max(c.count for c in stats.crashes) > 1
 
 
-def test_run_reproducible_events_and_stats(tmp_path, ppm_graph, ppm_command, ppm_program_map):
-    provider_program = mutator.parse_program(CRASH_PROGRAM)
+def test_run_reproducible_events_and_stats(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
+    program = mutator.parse_program(CRASH_PROGRAM)
     runs = []
     for name in ("one", "two"):
         config = ppm_campaign_config(ppm_command, rng_seed=1234)
-        stats = campaign.run(config, StaticProvider(provider_program), ppm_graph,
-                             tmp_path / name, ppm_program_map)
+        stats = campaign.run(config, program, ppm_graph,
+                             tmp_path / name, ppm_program_exec)
         runs.append((stats, (tmp_path / name / "events.log").read_bytes()))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
 
 
-def test_run_refresh_events_counted(tmp_path, ppm_graph, ppm_command, ppm_program_map):
+def test_run_refresh_events_counted(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
     config = ppm_campaign_config(ppm_command, duration_limit=2.0, refresh_period=0.5,
                                  stop_on_first=False)
-    provider = StaticProvider(mutator.parse_program(CRASH_PROGRAM))
-    stats = campaign.run(config, provider, ppm_graph, tmp_path / "c", ppm_program_map)
+    program = mutator.parse_program(CRASH_PROGRAM)
+    stats = campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec)
     assert 3 <= stats.refresh_events <= 5  # floor(2.0 / 0.5) give or take one
 
 
 def test_run_persists_refreshed_program_with_trial(tmp_path, ppm_graph, ppm_command,
-                                                   ppm_program_map):
-    from reachfuzz.campaign import RefreshResult
-    from reachfuzz.mutator import TrialReport
+                                                   ppm_program_exec):
+    from reachfuzz.mutator import MutatorBuild, TrialReport
 
-    class TrialedProvider(campaign.MutatorProvider):
-        def __init__(self, program):
-            self.program = program
+    program = mutator.parse_program(CRASH_PROGRAM)
 
-        def initial(self):
-            return self.program
-
-        def refresh(self, prior):
-            report = TrialReport(execs_per_sec=50.0, harness_crashes=0,
-                                 verdict="accepted", execs=25)
-            return RefreshResult(self.program, list(prior), report)
+    def rebuild(prior, runner):
+        report = TrialReport(execs_per_sec=50.0, harness_crashes=0,
+                             verdict="accepted", execs=25)
+        return MutatorBuild(program, report, list(prior), 0)
 
     config = ppm_campaign_config(ppm_command, duration_limit=1.0, refresh_period=0.3,
                                  stop_on_first=False)
-    provider = TrialedProvider(mutator.parse_program(CRASH_PROGRAM))
     workdir = tmp_path / "c"
-    stats = campaign.run(config, provider, ppm_graph, workdir, ppm_program_map)
+    stats = campaign.run(config, program, ppm_graph, workdir, ppm_program_exec,
+                         rebuild=rebuild)
     assert stats.refresh_events >= 1
     assert (workdir / "mutators" / "active-1.mut").exists()
     trial = json.loads((workdir / "mutators" / "active-1.trial.json").read_text())
     assert trial["verdict"] == "accepted"
 
 
-def test_run_multi_worker_smoke(tmp_path, ppm_graph, ppm_command, ppm_program_map):
+def test_run_multi_worker_smoke(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
     config = ppm_campaign_config(ppm_command, workers=2)
-    provider = StaticProvider(mutator.parse_program(CRASH_PROGRAM))
-    stats = campaign.run(config, provider, ppm_graph, tmp_path / "c", ppm_program_map)
+    program = mutator.parse_program(CRASH_PROGRAM)
+    stats = campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec)
     assert stats.found_target_crash
 
 
-def test_llm_provider_refresh_rebuilds_program(catalog, ppm_runner):
+def read_events(workdir: Path) -> list[dict]:
+    return [json.loads(line) for line in (workdir / "events.log").read_text().splitlines()]
+
+
+def test_llm_rebuild_swaps_in_program_and_strategies(catalog, tmp_path, ppm_graph,
+                                                     ppm_command, ppm_program_exec):
     from conftest import engine_from_rules
-    from reachfuzz.campaign import LlmProvider
     from reachfuzz.mutator import BugAnalysis, MutationStrategy
 
     engine = engine_from_rules(
@@ -519,38 +514,146 @@ def test_llm_provider_refresh_rebuilds_program(catalog, ppm_runner):
         ("Translate the mutation strategies",
          "PROGRAM:\n```\nOverwrite(3, 39)\n```"),
     )
-    provider = LlmProvider(
-        engine, BugAnalysis("overread", ["oversized header"], []),
-        PPM_SEED, ppm_runner,
-        initial_program=mutator.parse_program(CRASH_PROGRAM),
-        initial_strategies=[MutationStrategy("old idea", "")],
-        trial_duration=0.5,
-    )
-    outcome = provider.refresh(provider.strategies())
-    assert outcome is not None
-    assert [s.description for s in outcome.strategies] == ["fresh idea"]
-    assert outcome.program.render() == "Overwrite(3, 39)"
-    assert outcome.trial is not None and outcome.trial.accepted
+    priors = []
+
+    def rebuild(prior, runner):
+        priors.append([s.description for s in prior])
+        return mutator.build_mutator(BugAnalysis("overread", ["oversized header"], []),
+                                     engine, PPM_SEED, runner, prior=prior,
+                                     trial_duration=0.2)
+
+    config = ppm_campaign_config(ppm_command, duration_limit=2.0, refresh_period=0.5,
+                                 stop_on_first=False)
+    workdir = tmp_path / "c"
+    stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph, workdir,
+                         ppm_program_exec, [MutationStrategy("old idea", "")], rebuild)
+    assert len(priors) == stats.refresh_events >= 2
+    assert priors[0] == ["old idea"]
+    assert all(prior == ["fresh idea"] for prior in priors[1:])
+    assert (workdir / "mutators" / "active-1.mut").read_text() == "Overwrite(3, 39)\n"
+    trial = json.loads((workdir / "mutators" / "active-1.trial.json").read_text())
+    assert trial["verdict"] == "accepted" and trial["execs"] > 0
+    refreshes = [e for e in read_events(workdir) if e["event"] == "refresh"]
+    assert refreshes == [{"event": "refresh", "n": n, "swapped": True}
+                         for n in range(1, len(priors) + 1)]
 
 
-def test_llm_provider_refresh_failure_degrades(catalog, ppm_runner):
+def test_llm_rebuild_failure_keeps_program(catalog, tmp_path, ppm_graph, ppm_command,
+                                           ppm_program_exec):
     from conftest import engine_from_rules
-    from reachfuzz.campaign import LlmProvider
     from reachfuzz.mutator import BugAnalysis, MutationStrategy
 
-    # synthesis never parses, so the rebuild gives up and refresh returns None
+    # synthesis never parses, so every rebuild gives up and the program stays
     engine = engine_from_rules(
         catalog,
         ("Generate fuzzing mutation strategies", "STRATEGIES:\n- idea :: r"),
         ("Translate the mutation strategies", "PROGRAM:\n```\nNope(1)\n```"),
         ("rejected by the mutation-language parser", "PROGRAM:\n```\nNope(2)\n```"),
     )
-    provider = LlmProvider(
-        engine, BugAnalysis("overread", ["oversized"], []), PPM_SEED, ppm_runner,
-        initial_program=mutator.parse_program(CRASH_PROGRAM),
-        initial_strategies=[MutationStrategy("old", "")], trial_duration=0.2,
-    )
-    assert provider.refresh(provider.strategies()) is None
+
+    def rebuild(prior, runner):
+        return mutator.build_mutator(BugAnalysis("overread", ["oversized"], []), engine,
+                                     PPM_SEED, runner, prior=prior, trial_duration=0.2)
+
+    config = ppm_campaign_config(ppm_command, duration_limit=1.0, refresh_period=0.3,
+                                 stop_on_first=False, mix_ratio=1.0)
+    workdir = tmp_path / "c"
+    stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph, workdir,
+                         ppm_program_exec, [MutationStrategy("old", "")], rebuild)
+    assert stats.refresh_events >= 1
+    refreshes = [e for e in read_events(workdir) if e["event"] == "refresh"]
+    assert refreshes == [{"event": "refresh", "n": n, "swapped": False}
+                         for n in range(1, stats.refresh_events + 1)]
+    assert [p.name for p in (workdir / "mutators").iterdir()] == ["active-0.mut"]
+    assert sum(c.count for c in stats.crashes) == stats.total_execs  # still the program
+
+
+def counting_executor_run(monkeypatch, on_call):
+    """Patch Executor.run to call ``on_call(n)`` with its call number first."""
+    lock = threading.Lock()
+    calls = [0]
+    original = Executor.run
+
+    def run(self, *args, **kwargs):
+        with lock:
+            calls[0] += 1
+            n = calls[0]
+        on_call(n)
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(Executor, "run", run)
+    return calls
+
+
+def test_refresh_runs_while_other_workers_fuzz(tmp_path, ppm_graph, ppm_command,
+                                               ppm_program_exec, monkeypatch):
+    others_ran = threading.Event()
+    refresher = {}
+
+    def on_call(n):
+        if refresher and threading.get_ident() != refresher["ident"]:
+            refresher["others"] += 1
+            if refresher["others"] >= 20:
+                others_ran.set()
+
+    counting_executor_run(monkeypatch, on_call)
+    program = mutator.parse_program(CRASH_PROGRAM)
+    waited = []
+
+    def rebuild(prior, runner):
+        if not refresher:
+            refresher.update(ident=threading.get_ident(), others=0)
+            waited.append(others_ran.wait(timeout=5.0))
+        return mutator.MutatorBuild(program, None, list(prior), 0)
+
+    config = ppm_campaign_config(ppm_command, duration_limit=1.5, refresh_period=0.2,
+                                 stop_on_first=False, workers=2)
+    stats = campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec,
+                         rebuild=rebuild)
+    assert waited == [True], "the other worker ran fewer than 20 execs during a refresh"
+    assert stats.refresh_events >= 1
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_worker_error_stops_campaign_and_is_raised(workers, tmp_path, ppm_graph,
+                                                   ppm_command, ppm_program_exec,
+                                                   monkeypatch):
+    def on_call(n):
+        if n == 5:
+            raise OSError("injected on the 5th exec")
+
+    calls = counting_executor_run(monkeypatch, on_call)
+    config = ppm_campaign_config(ppm_command, duration_limit=10.0, stop_on_first=False,
+                                 workers=workers)
+    start = time.monotonic()
+    with pytest.raises(OSError, match="5th exec"):
+        campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph,
+                     tmp_path / "c", ppm_program_exec)
+    assert time.monotonic() - start < 5.0
+    assert calls[0] <= 5 + (workers - 1)  # each other worker ends its exec in flight
+
+
+def test_shared_state_survives_many_workers_and_refreshes(tmp_path, ppm_graph, ppm_command,
+                                                          ppm_program_exec, monkeypatch):
+    calls = counting_executor_run(monkeypatch, lambda n: None)
+    config = ppm_campaign_config(ppm_command, duration_limit=1.5, refresh_period=0.05,
+                                 stop_on_first=False, workers=4)
+    workdir = tmp_path / "c"
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph,
+                             workdir, ppm_program_exec)
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats.total_execs == calls[0] > 0  # every exec recorded once
+    events = read_events(workdir)
+    refreshes = [e["n"] for e in events if e["event"] == "refresh"]
+    assert refreshes == list(range(1, stats.refresh_events + 1))
+    assert all((workdir / "mutators" / f"active-{n}.mut").exists() for n in refreshes)
+    admits = [e["exec"] for e in events if e["event"] == "admit"]
+    assert admits == sorted(set(admits))
+    assert len(list((workdir / "corpus").glob("id-*.bin"))) == len(admits)
 
 
 # --- reporting ------------------------------------------------------------------------

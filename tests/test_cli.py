@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import itertools
 import json
 from pathlib import Path
 
@@ -214,3 +215,57 @@ def test_exit_codes_are_distinct_and_stable():
     codes = {EXIT_OK, cli.EXIT_USAGE, EXIT_STAGE_FAILURE, EXIT_ISOLATED_TARGET,
              EXIT_TIMEOUT_NO_BUG}
     assert codes == {0, 2, 3, 4, 5}
+
+
+def test_program_exec_replaces_any_command_program_name(demo_config):
+    fixture = demo_config.parent / "ppmcheck.fixture"
+    text = fixture.read_text(encoding="utf-8")
+    assert "COMMAND: ppmcheck @@" in text
+    fixture.write_text(text.replace("COMMAND: ppmcheck @@", "COMMAND: ./ppmcheck @@"),
+                       encoding="utf-8")
+    assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
+    work = demo_config.parent / "work"
+    bundle = json.loads((work / "prepare" / "bundle.json").read_text())
+    assert bundle["command"] == "./ppmcheck @@"
+    assert cli.main(["fuzz", "--config", str(demo_config), "--duration", "30s"]) == EXIT_OK
+
+
+def test_fuzz_refresh_rebuilds_on_the_worker_executor(demo_config, started_servers):
+    assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
+    text = demo_config.read_text(encoding="utf-8")
+    for old, new in (("refresh_period = 1h", "refresh_period = 400ms"),
+                     ("trial_duration = 1500ms", "trial_duration = 200ms")):
+        assert old in text
+        text = text.replace(old, new)
+    demo_config.write_text(text, encoding="utf-8")
+    started_servers.clear()
+    code = cli.main(["fuzz", "--config", str(demo_config), "--duration", "1500ms",
+                     "--keep-going"])
+    assert code in (EXIT_OK, EXIT_TIMEOUT_NO_BUG)
+    fuzz = demo_config.parent / "work" / "fuzz"
+    events = [json.loads(line) for line in (fuzz / "events.log").read_text().splitlines()]
+    refreshes = [e for e in events if e["event"] == "refresh"]
+    assert refreshes and all(e["swapped"] for e in refreshes)
+    trial = json.loads((fuzz / "mutators" / "active-1.trial.json").read_text())
+    assert trial["verdict"] == "accepted"
+    # the refresh trial ran on the worker's own executor and fork server
+    assert len(started_servers) == 1 and started_servers[0] is not None
+
+
+def test_fuzz_worker_error_exits_3_with_several_workers(demo_config, monkeypatch, capsys):
+    from reachfuzz import campaign
+
+    assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
+    calls = itertools.count(1)  # next() on it is atomic across the worker threads
+    original = campaign.Executor.run
+
+    def failing_run(self, *args, **kwargs):
+        if next(calls) == 5:
+            raise OSError("injected on the 5th exec")
+        return original(self, *args, **kwargs)
+
+    monkeypatch.setattr(campaign.Executor, "run", failing_run)
+    code = cli.main(["fuzz", "--config", str(demo_config), "--duration", "30s",
+                     "--workers", "2", "--keep-going"])
+    assert code == EXIT_STAGE_FAILURE
+    assert "injected on the 5th exec" in capsys.readouterr().err

@@ -1,6 +1,11 @@
 from __future__ import annotations
 
+import http.server
+import json
+import os
 import random
+import sys
+import threading
 
 import pytest
 
@@ -275,6 +280,56 @@ def test_remote_exhausts_retries():
                             transport=transport, sleep=lambda _s: None)
     with pytest.raises(TransportError, match="after 3 attempts"):
         LlmClient(backend).complete(LlmRequest("hello"))
+
+
+def test_default_transport_over_loopback_http(monkeypatch):
+    monkeypatch.setitem(sys.modules, "requests", None)  # the transport must not need it
+    for name in list(os.environ):
+        if name.lower().endswith("_proxy"):
+            monkeypatch.delenv(name)
+    seen = []
+    status = [200]
+
+    class Handler(http.server.BaseHTTPRequestHandler):
+        def do_POST(self):
+            body = self.rfile.read(int(self.headers["Content-Length"]))
+            seen.append((json.loads(body), self.headers["Authorization"],
+                         self.headers["Content-Type"]))
+            reply = json.dumps(_ok_body("pong", tokens=7)).encode()
+            self.send_response(status[0])
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", str(len(reply)))
+            self.end_headers()
+            self.wfile.write(reply)
+
+        def log_message(self, *args):
+            pass
+
+    server = http.server.HTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=server.serve_forever)
+    thread.start()
+    try:
+        sleeps = []
+        backend = RemoteBackend(endpoint=f"http://127.0.0.1:{server.server_port}/v1/chat",
+                                model="m", api_key="secret", sleep=sleeps.append)
+        response = LlmClient(backend).complete(LlmRequest("ping", temperature_hint=0.3))
+        assert (response.text, response.token_estimate) == ("pong", 7)
+        payload, auth, content_type = seen[0]
+        assert payload["messages"] == [{"role": "user", "content": "ping"}]
+        assert (payload["model"], payload["temperature"]) == ("m", 0.3)
+        assert (auth, content_type) == ("Bearer secret", "application/json")
+        assert sleeps == []
+
+        status[0] = 500
+        with pytest.raises(TransportError, match="after 3 attempts"):
+            LlmClient(backend).complete(LlmRequest("ping"))
+        assert len(seen) == 4  # one success, then three attempts at the 500
+        assert sleeps == [2.0, 4.0]
+    finally:
+        server.shutdown()
+        server.server_close()
+        thread.join(timeout=10)
+    assert not thread.is_alive()
 
 
 def test_remote_requires_endpoint(monkeypatch):

@@ -5,9 +5,9 @@ import time
 
 import pytest
 
-from conftest import dedent, engine_from_rules
+from conftest import HarnessFault, declared_growth, dedent, engine_from_rules
 from reachfuzz import mutator
-from reachfuzz.errors import DslError, HarnessFault, TaskError
+from reachfuzz.errors import DslError, TaskError
 from reachfuzz.knowledge import BugInfo, FunctionSummary
 from reachfuzz.mutator import (
     BugAnalysis,
@@ -203,7 +203,7 @@ def test_purity_and_growth_sweep_smoke():
         first = apply(program, data, random.Random(seed))
         second = apply(program, data, random.Random(seed))
         assert first == second
-        assert len(first) <= len(data) + program.declared_growth()
+        assert len(first) <= len(data) + declared_growth(program)
 
 
 def test_render_parse_round_trip_on_random_programs():
@@ -230,7 +230,7 @@ def test_parse_program_rejects_garbage_without_crashing():
 
 def test_declared_growth():
     program = prog("InsertBytes(0, AABB)\nResizeTo(100, 0x00)\nResizeTo(end-4, 0x00)")
-    assert program.declared_growth() == 102  # 2 inserted + absolute resize target
+    assert declared_growth(program) == 102  # 2 inserted + absolute resize target
 
 
 # --- knowledge-driven steps --------------------------------------------------------

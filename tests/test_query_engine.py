@@ -6,7 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from conftest import client_from_rules, dedent, engine_from_rules
+from conftest import client_from_rules, dedent, engine_from_rules, format_answer
 from reachfuzz.errors import AnswerParseError, TaskError, TemplateError
 from reachfuzz.query_engine import (
     AnswerField,
@@ -14,7 +14,6 @@ from reachfuzz.query_engine import (
     AttachmentSlot,
     QueryTemplate,
     execute_task,
-    format_answer,
     load_catalog,
     parse,
     parse_template,

@@ -243,11 +243,11 @@ def test_optimize_times_out_on_useless_answers(catalog, ppm_graph, ppm_runner,
 
 
 def test_optimize_provenance_deterministic(catalog, ppm_graph, ppm_command,
-                                           ppm_program_map, tmp_path):
+                                           ppm_program_exec, tmp_path):
     from reachfuzz.campaign import Executor
 
     def run_once(tag: str):
-        executor = Executor(ppm_graph, tmp_path / tag, 5.0, ppm_program_map)
+        executor = Executor(ppm_graph, tmp_path / tag, 5.0, ppm_program_exec)
         engine = engine_from_rules(catalog, CHAIN_FIX)
         chain = callgraph.complete_chain(ppm_graph, ppm_graph.id_of("read_pixels"))
         return optimize_along_chain(
@@ -315,13 +315,13 @@ NEIGHBOR_FIX = (
 
 
 def test_functionality_fallback_hands_off_to_chain(catalog, ppm_command,
-                                                   ppm_program_map, tmp_path):
+                                                   ppm_program_exec, tmp_path):
     graph = gap_graph()
     target = graph.id_of("read_pixels")
     assert callgraph.complete_chain(graph, target) is None
     from reachfuzz.campaign import Executor
 
-    executor = Executor(graph, tmp_path / "exec", 5.0, ppm_program_map)
+    executor = Executor(graph, tmp_path / "exec", 5.0, ppm_program_exec)
     runner = lambda data: executor.run(ppm_command, data)  # noqa: E731
     engine = engine_from_rules(catalog, NEIGHBOR_FIX)
     outcome = optimize_by_functionality(
@@ -343,12 +343,12 @@ def test_functionality_fallback_isolated_target(catalog, ppm_command, tmp_path):
 
 
 def test_functionality_fallback_partial_when_probes_fail(catalog, ppm_command,
-                                                         ppm_program_map, tmp_path):
+                                                         ppm_program_exec, tmp_path):
     graph = gap_graph()
     target = graph.id_of("read_pixels")
     from reachfuzz.campaign import Executor
 
-    executor = Executor(graph, tmp_path / "exec", 5.0, ppm_program_map)
+    executor = Executor(graph, tmp_path / "exec", 5.0, ppm_program_exec)
     runner = lambda data: executor.run(ppm_command, data)  # noqa: E731
     engine = engine_from_rules(catalog, (
         "execute the caller function",

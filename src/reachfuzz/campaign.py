@@ -363,7 +363,8 @@ def run(config: CampaignConfig, program: mutator.MutationProgram | None, graph: 
     ``rebuild(prior_strategies, runner)`` returns a ``mutator.MutatorBuild``
     for each periodic refresh; without it a refresh re-issues the current
     program. The first exception raised in any worker stops the campaign
-    and is re-raised here.
+    and is re-raised here, after ``events.log`` is written without its
+    ``finish`` event.
     """
     return Campaign(config, program, graph, workdir, program_exec,
                     strategies or [], rebuild).run()
@@ -422,15 +423,15 @@ class Campaign:
                 t.start()
             for t in threads:
                 t.join()
-        if self.error is not None:
-            raise self.error
-
-        self.stats.clamp_events = self.counters.clamp_events
-        self.stats.wall_time = time.monotonic() - self.start
-        self.events.append({"event": "finish", "total_execs": self.stats.total_execs})
+        if self.error is None:
+            self.stats.clamp_events = self.counters.clamp_events
+            self.stats.wall_time = time.monotonic() - self.start
+            self.events.append({"event": "finish", "total_execs": self.stats.total_execs})
         with open(self.workdir / "events.log", "w", encoding="utf-8") as fh:
             for event in self.events:
                 fh.write(json.dumps(event, sort_keys=True) + "\n")
+        if self.error is not None:
+            raise self.error
         return self.stats
 
     def _work(self, widx: int):

@@ -120,7 +120,7 @@ def load_config(path: str | Path) -> ProjectConfig:
 def build_client(config: ProjectConfig, fixture_override: Path | None = None) -> LlmClient:
     fixture = fixture_override or config.fixture_file
     if fixture is not None:
-        return scripted_client(fixture, strict=True)
+        return scripted_client(fixture)
     if config.llm_backend == "remote":
         return LlmClient(RemoteBackend())
     raise ValueError("no fixture file configured and llm_backend is not 'remote'")
@@ -224,7 +224,7 @@ def cmd_prepare(config: ProjectConfig, fixture_override: Path | None = None,
 def _stage_sa(config: ProjectConfig, engine: Engine):
     graph = callgraph.load(config.graph_file)
     report_text = config.bug_report_file.read_text(encoding="utf-8")
-    bug = knowledge.extract_bug_info(report_text, engine, stage="sa")
+    bug = knowledge.extract_bug_info(report_text, engine)
     target = graph.id_of(bug.vulnerable_function)
     if target is None:
         raise TaskError(
@@ -237,7 +237,7 @@ def _stage_rag(config: ProjectConfig, engine: Engine, bug: BugInfo, prepare_dir:
     chunks = knowledge.chunk_corpus([config.corpus_root])
     index = knowledge.build_index(chunks, HashEmbedder())
     knowledge.save_index(index, prepare_dir / "index.rfix")
-    usage = knowledge.derive_program_usage(bug, index, engine, stage="rag")
+    usage = knowledge.derive_program_usage(bug, index, engine)
     _dump_json(prepare_dir / "bug_info.json", dataclasses.asdict(bug))
     _dump_json(prepare_dir / "usage.json", dataclasses.asdict(usage))
     return usage, index
@@ -248,8 +248,8 @@ def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
                opt_budget: float, executor: campaign.Executor):
     definition_source = _definition_source(config, graph)
     summaries = SummaryCache(engine, definition_source)
-    target_summary = summaries.get(bug.vulnerable_function, stage="opt")
-    command = seedgen.select_command(bug, usage, target_summary, engine, stage="opt")
+    target_summary = summaries.get(bug.vulnerable_function)
+    command = seedgen.select_command(bug, usage, target_summary, engine)
     spec = seedgen.generate_preliminary(command, bug, engine,
                                         input_expectations=command.description)
     sandbox = prepare_dir / "gen"
@@ -265,8 +265,7 @@ def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
     else:
         outcome = seedgen.optimize_by_functionality(
             seed, graph, target, runner, engine, opt_budget,
-            random.Random(config.rng_seed), usage,
-            lambda name: summaries.get(name, stage="opt"),
+            random.Random(config.rng_seed), usage, summaries.get,
             definition_source, sandbox)
     if outcome.status != "isolated-target":
         seedgen.write_outcome(outcome, prepare_dir / "seeds")
@@ -278,8 +277,8 @@ def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
 def _stage_mutator(config: ProjectConfig, engine: Engine, bug: BugInfo,
                    summaries: SummaryCache, outcome, command: CommandLine,
                    prepare_dir: Path, executor: campaign.Executor) -> mutator.MutatorBuild:
-    target_summary = summaries.get(bug.vulnerable_function, stage="mutator")
-    analysis = mutator.analyze_bug(bug, target_summary, engine, stage="mutator")
+    target_summary = summaries.get(bug.vulnerable_function)
+    analysis = mutator.analyze_bug(bug, target_summary, engine)
     _dump_json(prepare_dir / "analysis.json", dataclasses.asdict(analysis))
     runner = lambda data: executor.run(command, data)  # noqa: E731
     build = mutator.build_mutator(

@@ -10,7 +10,7 @@ class TransportError(ReachFuzzError):
 
 
 class FixtureMissError(ReachFuzzError):
-    """A strict scripted backend received a prompt no rule matches."""
+    """The scripted backend received a prompt no rule matches."""
 
 
 class TemplateError(ReachFuzzError):

@@ -98,7 +98,7 @@ class FunctionSummary:
         return "\n".join(lines)
 
 
-def extract_bug_info(report_text: str, engine: Engine, stage: str = "sa") -> BugInfo:
+def extract_bug_info(report_text: str, engine: Engine) -> BugInfo:
     """Pull the structured bug facts out of a report.
 
     A report that names no vulnerable function fails loudly (the answer's
@@ -107,7 +107,7 @@ def extract_bug_info(report_text: str, engine: Engine, stage: str = "sa") -> Bug
     """
     if not report_text.strip():
         raise ValueError("report_text must be non-empty")
-    answer = engine.run("bug_info", {"bug_report": report_text}, stage=stage)
+    answer = engine.run("bug_info", {"bug_report": report_text})
     return BugInfo(
         program=answer.text("program"),
         affected_versions=answer.lines("affected_versions"),
@@ -207,8 +207,6 @@ class HashEmbedder:
     the rest the bucket.
     """
 
-    label = "hash-bow"
-
     def __init__(self, dim: int = EMBEDDING_DIM):
         if dim <= 0:
             raise ValueError("dim must be positive")
@@ -254,7 +252,6 @@ class EmbeddingIndex:
     dim: int
     vectors: np.ndarray  # shape (n, dim), float32, immutable after build
     chunks: list[Chunk]
-    backend_label: str
 
     def __len__(self) -> int:
         return len(self.chunks)
@@ -268,8 +265,7 @@ def build_index(chunks: list[Chunk], embedder) -> EmbeddingIndex:
     if not np.all(np.isfinite(vectors)):
         raise ValueError("embedder produced non-finite values")
     vectors.setflags(write=False)
-    return EmbeddingIndex(dim=dim, vectors=vectors, chunks=list(chunks),
-                          backend_label=getattr(embedder, "label", "unknown"))
+    return EmbeddingIndex(dim=dim, vectors=vectors, chunks=list(chunks))
 
 
 def cosine_scores(index: EmbeddingIndex, query_vec: np.ndarray) -> np.ndarray:
@@ -293,15 +289,14 @@ def cosine_scores(index: EmbeddingIndex, query_vec: np.ndarray) -> np.ndarray:
     return scores
 
 
-def retrieve_top_k(index: EmbeddingIndex, query_text: str, k: int = DEFAULT_TOP_K,
-                   embedder=None) -> list[tuple[Chunk, float]]:
+def retrieve_top_k(index: EmbeddingIndex, query_text: str,
+                   k: int = DEFAULT_TOP_K) -> list[tuple[Chunk, float]]:
     """Rank chunks by cosine similarity to the query, ties by ascending id."""
     if k < 1:
         raise ValueError("k must be >= 1")
     if len(index) == 0:
         return []
-    embedder = embedder or HashEmbedder(index.dim)
-    scores = cosine_scores(index, embedder.embed(query_text))
+    scores = cosine_scores(index, HashEmbedder(index.dim).embed(query_text))
     ids = np.array([c.id for c in index.chunks])
     order = np.lexsort((ids, -scores))[:k]
     return [(index.chunks[i], float(scores[i])) for i in order]
@@ -321,8 +316,7 @@ def save_index(index: EmbeddingIndex, path: str | Path):
         fh.write(manifest.encode("utf-8"))
 
 
-def load_index(path: str | Path, corpus_root: str | Path,
-               backend_label: str = "hash-bow") -> EmbeddingIndex:
+def load_index(path: str | Path, corpus_root: str | Path) -> EmbeddingIndex:
     """Load a persisted index, re-reading chunk texts from the corpus files."""
     path = Path(path)
     corpus_root = Path(corpus_root)
@@ -347,7 +341,7 @@ def load_index(path: str | Path, corpus_root: str | Path,
         text = file_cache[rel][start:end].decode("utf-8")
         chunks.append(Chunk(int(cid), rel, (start, end), text, lossy=bool(int(lossy))))
     vectors.setflags(write=False)
-    return EmbeddingIndex(dim=dim, vectors=vectors, chunks=chunks, backend_label=backend_label)
+    return EmbeddingIndex(dim=dim, vectors=vectors, chunks=chunks)
 
 
 def render_chunks(ranked: list[tuple[Chunk, float]]) -> str:
@@ -358,21 +352,19 @@ def render_chunks(ranked: list[tuple[Chunk, float]]) -> str:
     return "\n".join(parts)
 
 
-def derive_program_usage(bug_info: BugInfo, index: EmbeddingIndex, engine: Engine,
-                         k: int = DEFAULT_TOP_K, embedder=None,
-                         stage: str = "rag") -> ProgramUsage:
+def derive_program_usage(bug_info: BugInfo, index: EmbeddingIndex,
+                         engine: Engine) -> ProgramUsage:
     """Summarize command options grounded in the retrieved corpus chunks.
 
     Options whose flag text does not occur verbatim in any attached chunk are
     flagged as ungrounded in the invocation notes; an empty index degrades to
     a usage derived from the bug facts alone, flagged as such.
     """
-    ranked = retrieve_top_k(index, bug_info.query_text(), k=k, embedder=embedder) if len(index) else []
+    ranked = retrieve_top_k(index, bug_info.query_text())
     chunk_text = render_chunks(ranked) if ranked else "(no retrieved context)"
     answer = engine.run(
         "program_usage",
         {"bug_summary": bug_info.query_text(), "retrieved_chunks": chunk_text},
-        stage=stage,
     )
     options: list[tuple[str, str]] = []
     seen: set[str] = set()
@@ -397,15 +389,14 @@ def derive_program_usage(bug_info: BugInfo, index: EmbeddingIndex, engine: Engin
     return ProgramUsage(program=bug_info.program, options=options, invocation_notes=notes)
 
 
-def summarize_function(function_name: str, definition_text: str, engine: Engine,
-                       stage: str = "opt") -> FunctionSummary:
+def summarize_function(function_name: str, definition_text: str,
+                       engine: Engine) -> FunctionSummary:
     """Summarize one function from its extracted declaration and definition."""
     if not definition_text.strip():
         raise ValueError("definition_text must be non-empty")
     answer = engine.run(
         "function_summary",
         {"function_name": function_name, "function_definition": definition_text},
-        stage=stage,
     )
     params: list[tuple[str, str]] = []
     for line in answer.lines("parameters"):
@@ -454,11 +445,11 @@ class SummaryCache:
         self.definition_source = definition_source
         self._cache: dict[str, FunctionSummary] = {}
 
-    def get(self, function_name: str, stage: str = "opt") -> FunctionSummary:
+    def get(self, function_name: str) -> FunctionSummary:
         if function_name not in self._cache:
             definition = self.definition_source(function_name)
             self._cache[function_name] = summarize_function(
-                function_name, definition, self.engine, stage=stage
+                function_name, definition, self.engine
             )
         return self._cache[function_name]
 

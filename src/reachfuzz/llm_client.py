@@ -13,7 +13,7 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 from .errors import FixtureMissError, TransportError
 
@@ -52,7 +52,6 @@ class LlmRequest:
 @dataclass(frozen=True)
 class LlmResponse:
     text: str
-    provider_label: str
     latency: float
     token_estimate: int
     truncated: bool = False
@@ -81,15 +80,14 @@ class FixtureRule:
 class ScriptedFixture:
     """Ordered response rules for the scripted backend.
 
-    The first matching rule wins. Under ``strict`` a prompt that matches no
-    rule is an error, never a silent default. Rules are immutable after load;
-    the only mutable state is the per-rule match counter used to honor
-    ordinals, which is guarded by a lock.
+    The first matching rule wins. A prompt that matches no rule is an error,
+    never a silent default. Rules are immutable after load; the only mutable
+    state is the per-rule match counter used to honor ordinals, which is
+    guarded by a lock.
     """
 
-    def __init__(self, rules: list[FixtureRule], strict: bool = True):
+    def __init__(self, rules: list[FixtureRule]):
         self.rules = list(rules)
-        self.strict = strict
         self._match_counts = [0] * len(self.rules)
         self._lock = threading.Lock()
 
@@ -102,17 +100,15 @@ class ScriptedFixture:
                 if rule.ordinal and self._match_counts[i] != rule.ordinal:
                     continue
                 return rule.response
-        if self.strict:
-            raise FixtureMissError(
-                "no fixture rule matches prompt starting with: %r" % prompt[:80]
-            )
-        return ""
+        raise FixtureMissError(
+            "no fixture rule matches prompt starting with: %r" % prompt[:80]
+        )
 
 
 _MATCH_LINE = re.compile(r"^match(?:\[(\d+)\])?:\s?(.*)$")
 
 
-def load_fixture(path: str | os.PathLike, strict: bool = True) -> ScriptedFixture:
+def load_fixture(path: str | os.PathLike) -> ScriptedFixture:
     """Parse a fixture file into a ScriptedFixture.
 
     Records are ``match:`` / ``response:`` pairs. A response is either the
@@ -167,13 +163,11 @@ def load_fixture(path: str | os.PathLike, strict: bool = True) -> ScriptedFixtur
             i += 1
             response = "\n".join(block)
         rules.append(FixtureRule(pattern, response, regex=regex, ordinal=ordinal))
-    return ScriptedFixture(rules, strict=strict)
+    return ScriptedFixture(rules)
 
 
 class ScriptedBackend:
     """Deterministic backend replaying a loaded fixture."""
-
-    label = "scripted"
 
     def __init__(self, fixture: ScriptedFixture):
         self.fixture = fixture
@@ -202,7 +196,6 @@ class RemoteBackend:
             raise ValueError(f"remote backend needs {ENV_ENDPOINT} or an endpoint argument")
         self._transport = transport or self._default_transport
         self._sleep = sleep
-        self.label = f"remote:{self.model or 'default'}"
 
     @staticmethod
     def _default_transport(url: str, payload: dict, headers: dict) -> dict:
@@ -241,49 +234,10 @@ class RemoteBackend:
 
 
 @dataclass
-class StageUsage:
-    requests: int = 0
-    token_estimate: int = 0
-    latency: float = 0.0
-
-
-@dataclass
 class UsageSummary:
-    per_stage: dict[str, StageUsage] = field(default_factory=dict)
-
-    @property
-    def total_requests(self) -> int:
-        return sum(s.requests for s in self.per_stage.values())
-
-    @property
-    def total_token_estimate(self) -> int:
-        return sum(s.token_estimate for s in self.per_stage.values())
-
-    @property
-    def total_latency(self) -> float:
-        return sum(s.latency for s in self.per_stage.values())
-
-
-class Accounting:
-    """Monotone per-stage usage counters, safe for concurrent recording."""
-
-    def __init__(self):
-        self._lock = threading.Lock()
-        self._stages: dict[str, StageUsage] = {}
-
-    def record(self, stage: str, latency: float, token_estimate: int):
-        with self._lock:
-            usage = self._stages.setdefault(stage, StageUsage())
-            usage.requests += 1
-            usage.latency += latency
-            usage.token_estimate += token_estimate
-
-    def summary(self) -> UsageSummary:
-        with self._lock:
-            return UsageSummary(
-                {name: StageUsage(u.requests, u.token_estimate, u.latency)
-                 for name, u in self._stages.items()}
-            )
+    total_requests: int = 0
+    total_token_estimate: int = 0
+    total_latency: float = 0.0
 
 
 def estimate_tokens(text: str) -> int:
@@ -292,13 +246,14 @@ def estimate_tokens(text: str) -> int:
 
 
 class LlmClient:
-    """Stateless completion client with per-stage usage accounting."""
+    """Stateless completion client keeping running usage totals."""
 
     def __init__(self, backend):
         self.backend = backend
-        self._accounting = Accounting()
+        self._lock = threading.Lock()
+        self._usage = UsageSummary()
 
-    def complete(self, request: LlmRequest, stage: str = "other") -> LlmResponse:
+    def complete(self, request: LlmRequest) -> LlmResponse:
         start = time.monotonic()
         text, reported_tokens = self.backend.complete(request)
         latency = time.monotonic() - start
@@ -309,18 +264,17 @@ class LlmClient:
         tokens = reported_tokens if reported_tokens is not None else estimate_tokens(
             request.prompt_text + text
         )
-        self._accounting.record(stage, latency, tokens)
-        return LlmResponse(
-            text=text,
-            provider_label=self.backend.label,
-            latency=latency,
-            token_estimate=tokens,
-            truncated=truncated,
-        )
+        with self._lock:
+            self._usage.total_requests += 1
+            self._usage.total_token_estimate += tokens
+            self._usage.total_latency += latency
+        return LlmResponse(text=text, latency=latency, token_estimate=tokens,
+                           truncated=truncated)
 
     def accounting(self) -> UsageSummary:
-        return self._accounting.summary()
+        with self._lock:
+            return replace(self._usage)
 
 
-def scripted_client(fixture_path: str | os.PathLike, strict: bool = True) -> LlmClient:
-    return LlmClient(ScriptedBackend(load_fixture(fixture_path, strict=strict)))
+def scripted_client(fixture_path: str | os.PathLike) -> LlmClient:
+    return LlmClient(ScriptedBackend(load_fixture(fixture_path)))

@@ -407,14 +407,13 @@ class TrialReport:
 def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
               duration: float = DEFAULT_TRIAL_DURATION,
               thresholds: TrialThresholds | None = None,
-              rng: random.Random | None = None,
-              fault_injector=None) -> TrialReport:
+              rng: random.Random | None = None) -> TrialReport:
     """Short mutate-and-execute run validating stability and throughput.
 
     Harness crashes are faults in the mutation machinery itself (interpreter
-    errors, injected faults, spawn failures); the target crashing is a
-    finding, not a defect. A program whose outputs never differ from the
-    seed, or are always empty, is rejected as invalid.
+    errors, spawn failures); the target crashing is a finding, not a defect.
+    A program whose outputs never differ from the seed, or are always empty,
+    is rejected as invalid.
     """
     thresholds = thresholds or TrialThresholds()
     rng = rng or random.Random(0)
@@ -425,8 +424,6 @@ def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
     produced_change = False
     while time.monotonic() - start < duration:
         try:
-            if fault_injector is not None:
-                fault_injector(execs)
             data = apply(program, seed_bytes, rng)
         except Exception as exc:  # noqa: BLE001 - harness instability is the point
             log.warning("harness fault during trial: %s", exc)
@@ -494,14 +491,12 @@ EXAMPLE_STRATEGIES = """\
 """
 
 
-def analyze_bug(bug_info, target_summary, engine: Engine,
-                stage: str = "mutator") -> BugAnalysis:
+def analyze_bug(bug_info, target_summary, engine: Engine) -> BugAnalysis:
     """Summarize cause and trigger conditions for the target bug."""
     answer = engine.run(
         "bug_analysis",
         {"bug_summary": _bug_summary_text(bug_info),
          "target_function_summary": target_summary.render()},
-        stage=stage,
     )
     fields: list[tuple[str, str]] = []
     for line in answer.lines("relevant_fields"):
@@ -525,8 +520,7 @@ def _bug_summary_text(bug_info) -> str:
 
 
 def propose_strategies(analysis: BugAnalysis, engine: Engine,
-                       prior: list[MutationStrategy] | None = None,
-                       stage: str = "mutator") -> list[MutationStrategy]:
+                       prior: list[MutationStrategy] | None = None) -> list[MutationStrategy]:
     """Ask for mutation strategies; on refresh, demand ones distinct from prior.
 
     A refresh answer that only repeats prior descriptions gets one repair
@@ -539,12 +533,12 @@ def propose_strategies(analysis: BugAnalysis, engine: Engine,
         "example_strategies": EXAMPLE_STRATEGIES,
         "prior_strategies": "\n".join(s.render() for s in prior) if prior else "(none)",
     }
-    strategies = _run_strategy_task(engine, fillers, stage)
+    strategies = _run_strategy_task(engine, fillers)
     if prior:
         prior_descriptions = {s.description for s in prior}
         if all(s.description in prior_descriptions for s in strategies):
             retry = _run_strategy_task(
-                engine, fillers, stage,
+                engine, fillers,
                 extra_suggestion="Every strategy you proposed was already in the prior "
                                  "list above; propose different ones.",
             )
@@ -554,10 +548,9 @@ def propose_strategies(analysis: BugAnalysis, engine: Engine,
     return strategies
 
 
-def _run_strategy_task(engine: Engine, fillers: dict[str, str], stage: str,
+def _run_strategy_task(engine: Engine, fillers: dict[str, str],
                        extra_suggestion: str = "") -> list[MutationStrategy]:
-    answer = engine.run("strategy_proposal", fillers, stage=stage,
-                        temperature=TEMPERATURE_GENERATION,
+    answer = engine.run("strategy_proposal", fillers, temperature=TEMPERATURE_GENERATION,
                         extra_suggestion=extra_suggestion)
     strategies = []
     for line in answer.lines("strategies"):
@@ -566,8 +559,7 @@ def _run_strategy_task(engine: Engine, fillers: dict[str, str], stage: str,
     return strategies
 
 
-def synthesize(strategies: list[MutationStrategy], engine: Engine,
-               stage: str = "mutator", feedback: str = "",
+def synthesize(strategies: list[MutationStrategy], engine: Engine, feedback: str = "",
                max_repairs: int = 3) -> MutationProgram:
     """Turn strategies into a parsed, grammar-valid mutation program.
 
@@ -582,8 +574,7 @@ def synthesize(strategies: list[MutationStrategy], engine: Engine,
         "worked_examples": WORKED_EXAMPLES,
         "feedback": feedback or "(none)",
     }
-    answer = engine.run("mutator_synthesis", fillers, stage=stage,
-                        temperature=TEMPERATURE_GENERATION)
+    answer = engine.run("mutator_synthesis", fillers, temperature=TEMPERATURE_GENERATION)
     raw_programs = [answer.text("program")]
     refs = _parse_refs(answer.values.get("strategy_refs", "") or "", len(strategies))
     for _ in range(max_repairs + 1):
@@ -596,7 +587,7 @@ def synthesize(strategies: list[MutationStrategy], engine: Engine,
                 "mutator_repair",
                 {"original_program": raw_programs[-1], "parse_error": str(exc),
                  "grammar": GRAMMAR_HELP},
-                stage=stage, temperature=TEMPERATURE_GENERATION,
+                temperature=TEMPERATURE_GENERATION,
             )
             raw_programs.append(repair.text("program"))
     raise TaskError("mutation program synthesis exhausted its repair budget",
@@ -631,19 +622,18 @@ def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runn
                   trial_duration: float = DEFAULT_TRIAL_DURATION,
                   thresholds: TrialThresholds | None = None,
                   max_regenerations: int = DEFAULT_MAX_REGENERATIONS,
-                  rng: random.Random | None = None,
-                  stage: str = "mutator") -> MutatorBuild:
+                  rng: random.Random | None = None) -> MutatorBuild:
     """Propose strategies, synthesize, trial; regenerate on rejection.
 
     After ``max_regenerations`` rejected programs the build gives up and the
     campaign falls back to random-only mutation with a warning.
     """
-    strategies = propose_strategies(analysis, engine, prior=prior, stage=stage)
+    strategies = propose_strategies(analysis, engine, prior=prior)
     rejected: list[tuple[MutationProgram, TrialReport]] = []
     feedback = ""
     for attempt in range(1 + max_regenerations):
         try:
-            program = synthesize(strategies, engine, stage=stage, feedback=feedback)
+            program = synthesize(strategies, engine, feedback=feedback)
         except TaskError:
             log.warning("mutator synthesis failed; falling back to random-only mutation")
             return MutatorBuild(None, None, strategies, attempt, rejected)

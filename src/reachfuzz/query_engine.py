@@ -113,12 +113,13 @@ def _slot_refs(text: str) -> set[str]:
     return set(_SLOT_REF.findall(text))
 
 
-def render(template: QueryTemplate, fillers: dict[str, str]) -> str:
+def render(template: QueryTemplate, fillers: dict[str, str], note: str = "") -> str:
     """Render the four sections into one deterministic prompt.
 
     Every declared attachment slot must have a filler. Slots marked as prior
     results get a reminder line appended to the suggestion so the model knows
     earlier answers are present in the attachments rather than in history.
+    A non-empty ``note`` closes the suggestion section, after a blank line.
     """
     missing = [s for s in template.slot_names if s not in fillers]
     if missing:
@@ -147,6 +148,8 @@ def render(template: QueryTemplate, fillers: dict[str, str]) -> str:
                     "earlier steps: " + ", ".join(prior) + ".")
         suggestion = (suggestion + "\n" + reminder).strip()
     parts += ["== SUGGESTION ==", suggestion, ""]
+    if note:
+        parts.append(note)
     parts += ["== ANSWER TEMPLATE ==", answer_instructions(template.answer_schema)]
     return "\n".join(parts)
 
@@ -284,7 +287,7 @@ def _is_empty(value) -> bool:
 
 
 def execute_task(template: QueryTemplate, fillers: dict[str, str], client: LlmClient,
-                 max_repairs: int = DEFAULT_MAX_REPAIRS, stage: str = "other",
+                 max_repairs: int = DEFAULT_MAX_REPAIRS,
                  temperature: float = TEMPERATURE_EXTRACTION,
                  extra_suggestion: str = "") -> StructuredAnswer:
     """Render, complete, and parse; repair on parse failure.
@@ -296,13 +299,9 @@ def execute_task(template: QueryTemplate, fillers: dict[str, str], client: LlmCl
     raw_responses: list[str] = []
     error_note = ""
     for _ in range(1 + max_repairs):
-        suggestion_parts = [p for p in (extra_suggestion, error_note) if p]
-        prompt = render(template, fillers)
-        if suggestion_parts:
-            prompt = _augment_suggestion(prompt, "\n".join(suggestion_parts))
-        response = client.complete(
-            LlmRequest(prompt_text=prompt, temperature_hint=temperature), stage=stage
-        )
+        note = "\n".join(p for p in (extra_suggestion, error_note) if p)
+        prompt = render(template, fillers, note)
+        response = client.complete(LlmRequest(prompt_text=prompt, temperature_hint=temperature))
         raw_responses.append(response.text)
         try:
             return parse(template.answer_schema, response.text)
@@ -317,32 +316,20 @@ def execute_task(template: QueryTemplate, fillers: dict[str, str], client: LlmCl
     )
 
 
-def _augment_suggestion(prompt: str, note: str) -> str:
-    marker = "\n== ANSWER TEMPLATE =="
-    head, sep, tail = prompt.partition(marker)
-    if not sep:
-        return prompt + "\n" + note
-    return head + "\n" + note + "\n" + sep.lstrip("\n") + tail
-
-
 class Engine:
     """Template catalog plus client, the object the pipeline stages share."""
 
-    def __init__(self, catalog: dict[str, QueryTemplate], client: LlmClient,
-                 max_repairs: int = DEFAULT_MAX_REPAIRS):
+    def __init__(self, catalog: dict[str, QueryTemplate], client: LlmClient):
         self.catalog = catalog
         self.client = client
-        self.max_repairs = max_repairs
 
-    def run(self, task_id: str, fillers: dict[str, str], stage: str,
+    def run(self, task_id: str, fillers: dict[str, str],
             temperature: float = TEMPERATURE_EXTRACTION,
             extra_suggestion: str = "") -> StructuredAnswer:
         template = self.catalog.get(task_id)
         if template is None:
             raise TemplateError(f"no template for task {task_id!r}")
-        return execute_task(template, fillers, self.client,
-                            max_repairs=self.max_repairs, stage=stage,
-                            temperature=temperature,
+        return execute_task(template, fillers, self.client, temperature=temperature,
                             extra_suggestion=extra_suggestion)
 
 

@@ -120,7 +120,7 @@ def parse_command_line(text: str) -> CommandLine:
 
 
 def select_command(bug_info, usage, target_summary, engine: Engine,
-                   stage: str = "opt", max_retries: int = 3) -> CommandLine:
+                   max_retries: int = 3) -> CommandLine:
     """Pick the command line most likely to activate the target function.
 
     Answers naming option flags absent from the program usage are rejected
@@ -134,8 +134,7 @@ def select_command(bug_info, usage, target_summary, engine: Engine,
     note = ""
     last_error = ""
     for _ in range(1 + max_retries):
-        answer = engine.run("command_selection", fillers, stage=stage,
-                            extra_suggestion=note)
+        answer = engine.run("command_selection", fillers, extra_suggestion=note)
         text = answer.text("command")
         try:
             command = parse_command_line(text)
@@ -158,12 +157,15 @@ def _spec_from_answer(answer, payload_field: str) -> GeneratorSpec:
     kind = answer.text("kind").strip().lower()
     encoding = (answer.values.get("encoding", "") or "utf-8").strip().lower() or "utf-8"
     runtime = (answer.values.get("runtime", "") or "python3").strip() or "python3"
-    return GeneratorSpec(kind=kind, payload=answer.text(payload_field),
-                         runtime_label=runtime, encoding=encoding)
+    try:
+        return GeneratorSpec(kind=kind, payload=answer.text(payload_field),
+                             runtime_label=runtime, encoding=encoding)
+    except ValueError as exc:
+        raise MaterializeError(str(exc)) from None
 
 
 def generate_preliminary(command: CommandLine, bug_info, engine: Engine,
-                         input_expectations: str = "", stage: str = "opt") -> GeneratorSpec:
+                         input_expectations: str = "") -> GeneratorSpec:
     """Ask for the first input: literal bytes for simple formats, a generator
     script for complex ones."""
     answer = engine.run(
@@ -171,7 +173,7 @@ def generate_preliminary(command: CommandLine, bug_info, engine: Engine,
         {"command": command.render(),
          "bug_summary": bug_info.query_text(),
          "input_expectations": input_expectations or command.description or "(none)"},
-        stage=stage, temperature=TEMPERATURE_GENERATION,
+        temperature=TEMPERATURE_GENERATION,
     )
     return _spec_from_answer(answer, "payload")
 
@@ -229,8 +231,7 @@ def _run_script(payload: str, runtime_label: str, sandbox: Path) -> tuple[bytes,
 
 
 def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None = None,
-                max_repairs: int = 3, stage: str = "opt",
-                input_expectations: str = "") -> bytes:
+                max_repairs: int = 3, input_expectations: str = "") -> bytes:
     """Turn a generator spec into input bytes.
 
     Script errors are fed back through the query engine for repair, bounded
@@ -256,7 +257,7 @@ def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None 
                 {"script": payload, "error_output": error,
                  "runtime": spec.runtime_label,
                  "input_expectations": input_expectations or "(none)"},
-                stage=stage, temperature=TEMPERATURE_GENERATION,
+                temperature=TEMPERATURE_GENERATION,
             )
         except TaskError:
             break
@@ -266,7 +267,7 @@ def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None 
 
 # --- optimization loops ---------------------------------------------------------
 
-def _trace_level(graph: CallGraph, dist_to_target: dict[int, int], trace) -> int | None:
+def _trace_level(dist_to_target: dict[int, int], trace) -> int | None:
     levels = [dist_to_target[fn] for fn in trace.reached if fn in dist_to_target]
     return min(levels) if levels else None
 
@@ -276,11 +277,10 @@ class _AttemptLog:
 
     def __init__(self, graph: CallGraph, target: int):
         self.dist = callgraph.distances_to(graph, target)
-        self.graph = graph
         self.attempts: list[tuple[int, Seed]] = []
 
     def record(self, seed: Seed, trace) -> int | None:
-        level = _trace_level(self.graph, self.dist, trace)
+        level = _trace_level(self.dist, trace)
         if level is not None:
             self.attempts.append((level, seed))
         return level
@@ -299,20 +299,15 @@ class _AttemptLog:
         return kept_seeds
 
 
-def _candidates_from_answer(answer, limit: int = MAX_CANDIDATES_PER_STEP) -> list[GeneratorSpec]:
-    specs = []
-    for i in range(1, limit + 1):
-        payload = answer.values.get(f"candidate_{i}")
-        if not payload or not str(payload).strip():
-            continue
-        specs.append(_spec_from_answer(answer, f"candidate_{i}"))
-    return specs
+def _candidate_fields(answer) -> list[str]:
+    """The answer's non-empty ``candidate_<i>`` fields, in order."""
+    names = [f"candidate_{i}" for i in range(1, MAX_CANDIDATES_PER_STEP + 1)]
+    return [name for name in names if str(answer.values.get(name) or "").strip()]
 
 
 def optimize_along_chain(seed: Seed, chain: CallChain, graph: CallGraph, runner,
                          engine: Engine, budget: float,
-                         definition_source, sandbox: str | Path,
-                         stage: str = "opt") -> OptimizationOutcome:
+                         definition_source, sandbox: str | Path) -> OptimizationOutcome:
     """Iteratively adjust the seed until its trace reaches the chain target.
 
     Each round executes the current seed, finds the deviation function and
@@ -335,10 +330,7 @@ def optimize_along_chain(seed: Seed, chain: CallChain, graph: CallGraph, runner,
             return OptimizationOutcome("reached", current, [current])
         if time.monotonic() >= deadline:
             return OptimizationOutcome("timeout", current, attempts.subset())
-        step = callgraph.deviation(graph, chain, trace)
-        if step is None:  # deviation found the target in the trace
-            return OptimizationOutcome("reached", current, [current])
-        dev, goal = step
+        dev, goal = callgraph.deviation(graph, chain, trace)
         goal_name = graph.name_of(goal)
         executed_names = " -> ".join(graph.name_of(f) for f in trace.reached)
         answer = engine.run(
@@ -349,15 +341,15 @@ def optimize_along_chain(seed: Seed, chain: CallChain, graph: CallGraph, runner,
                 "executed_path": executed_names,
                 "current_input": hexdump(current.data),
             },
-            stage=stage, temperature=TEMPERATURE_GENERATION,
+            temperature=TEMPERATURE_GENERATION,
         )
         advanced = False
-        for spec in _candidates_from_answer(answer):
+        for name in _candidate_fields(answer):
             if time.monotonic() >= deadline:
                 return OptimizationOutcome("timeout", current, attempts.subset())
             step_record = {"task": "chain_step", "goal": goal_name}
             try:
-                data = materialize(spec, sandbox, engine, stage=stage)
+                data = materialize(_spec_from_answer(answer, name), sandbox, engine)
             except MaterializeError as exc:
                 log.warning("candidate failed to materialize: %s", exc)
                 continue
@@ -377,8 +369,7 @@ def optimize_along_chain(seed: Seed, chain: CallChain, graph: CallGraph, runner,
 def optimize_by_functionality(seed: Seed, graph: CallGraph, target: int, runner,
                               engine: Engine, budget: float, rng: random.Random,
                               usage, summary_source, definition_source,
-                              sandbox: str | Path,
-                              stage: str = "opt") -> OptimizationOutcome:
+                              sandbox: str | Path) -> OptimizationOutcome:
     """Reach the target through one of its direct callers when no complete
     chain exists.
 
@@ -407,14 +398,14 @@ def optimize_by_functionality(seed: Seed, graph: CallGraph, target: int, runner,
                 "program_usage": usage.render(),
                 "command": seed.command.render(),
             },
-            stage=stage, temperature=TEMPERATURE_GENERATION,
+            temperature=TEMPERATURE_GENERATION,
         )
-        for spec in _candidates_from_answer(answer):
+        for name in _candidate_fields(answer):
             if time.monotonic() >= deadline:
                 return OptimizationOutcome("timeout", seed, attempts.subset())
             step_record = {"task": "neighbor_probe", "goal": neighbor_name}
             try:
-                data = materialize(spec, sandbox, engine, stage=stage)
+                data = materialize(_spec_from_answer(answer, name), sandbox, engine)
             except MaterializeError as exc:
                 log.warning("neighbor candidate failed to materialize: %s", exc)
                 continue
@@ -423,16 +414,16 @@ def optimize_by_functionality(seed: Seed, graph: CallGraph, target: int, runner,
             attempts.record(candidate, result.trace)
             if result.trace.contains(neighbor):
                 reached_seed = seed.derived(data, step_record | {"accepted": True})
-                suffix = CallChain(_suffix_path(graph, neighbor, target))
+                suffix = CallChain(_suffix_path(neighbor, target))
                 remaining = max(deadline - time.monotonic(), 1.0)
                 return optimize_along_chain(
                     reached_seed, suffix, graph, runner, engine, remaining,
-                    definition_source, sandbox, stage=stage,
+                    definition_source, sandbox,
                 )
     return OptimizationOutcome("partial", seed, attempts.subset())
 
 
-def _suffix_path(graph: CallGraph, start: int, target: int) -> tuple[int, ...]:
+def _suffix_path(start: int, target: int) -> tuple[int, ...]:
     if start == target:
         return (target,)
     return (start, target)

@@ -29,7 +29,7 @@ def branch_graph() -> CallGraph:
                       [(0, 1), (1, 2), (1, 3), (3, 4)])
 
 
-def client_from_rules(*rules: tuple[str, str], strict: bool = True,
+def client_from_rules(*rules: tuple[str, str],
                       ordinals: dict[int, int] | None = None) -> LlmClient:
     fixture_rules = []
     for i, (pattern, response) in enumerate(rules):
@@ -37,7 +37,7 @@ def client_from_rules(*rules: tuple[str, str], strict: bool = True,
         regex = pattern.startswith("re:")
         fixture_rules.append(FixtureRule(pattern[3:] if regex else pattern,
                                          response, regex=regex, ordinal=ordinal))
-    return LlmClient(ScriptedBackend(ScriptedFixture(fixture_rules, strict=strict)))
+    return LlmClient(ScriptedBackend(ScriptedFixture(fixture_rules)))
 
 
 @pytest.fixture(scope="session")
@@ -45,9 +45,8 @@ def catalog():
     return load_catalog()
 
 
-def engine_from_rules(catalog, *rules, strict: bool = True,
-                      ordinals: dict[int, int] | None = None) -> Engine:
-    return Engine(catalog, client_from_rules(*rules, strict=strict, ordinals=ordinals))
+def engine_from_rules(catalog, *rules, ordinals: dict[int, int] | None = None) -> Engine:
+    return Engine(catalog, client_from_rules(*rules, ordinals=ordinals))
 
 
 def dedent(text: str) -> str:

@@ -633,6 +633,29 @@ def test_worker_error_stops_campaign_and_is_raised(workers, tmp_path, ppm_graph,
     assert calls[0] <= 5 + (workers - 1)  # each other worker ends its exec in flight
 
 
+def test_worker_error_keeps_events_recorded_before_it(tmp_path, ppm_graph, ppm_command,
+                                                      ppm_program_exec, monkeypatch):
+    program = mutator.parse_program(CRASH_PROGRAM)
+    config = ppm_campaign_config(ppm_command, duration_limit=2.0, stop_on_first=False)
+    campaign.run(config, program, ppm_graph, tmp_path / "ref", ppm_program_exec)
+    reference = read_events(tmp_path / "ref")
+    assert reference[-1]["event"] == "finish" and reference[-1]["total_execs"] >= 40
+
+    def on_call(n):
+        if n == 40:
+            raise OSError("injected on the 40th exec")
+
+    counting_executor_run(monkeypatch, on_call)
+    with pytest.raises(OSError, match="40th exec"):
+        campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec)
+    events = read_events(tmp_path / "c")
+    kinds = [e["event"] for e in events]
+    assert kinds[0] == "start" and "finish" not in kinds
+    assert "admit" in kinds and "crash" in kinds
+    # the same run as the reference, up to the failed exec
+    assert events == [e for e in reference if e.get("exec", 0) < 40 and e["event"] != "finish"]
+
+
 def test_shared_state_survives_many_workers_and_refreshes(tmp_path, ppm_graph, ppm_command,
                                                           ppm_program_exec, monkeypatch):
     calls = counting_executor_run(monkeypatch, lambda n: None)

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -7,7 +8,7 @@ from pathlib import Path
 import pytest
 
 from conftest import dedent
-from reachfuzz import cli
+from reachfuzz import cli, llm_client
 from reachfuzz.cli import (
     EXIT_ISOLATED_TARGET,
     EXIT_OK,
@@ -209,6 +210,36 @@ def test_prepare_stage_failure_names_stage(demo_config, capsys):
     assert code == EXIT_STAGE_FAILURE
     err = capsys.readouterr().err
     assert "SA" in err
+
+
+def test_prepare_unknown_generator_kind_fails_in_stage_opt(demo_config, capsys):
+    fixture = demo_config.parent / "ppmcheck.fixture"
+    text = fixture.read_text(encoding="utf-8")
+    preliminary = "match: Generate a preliminary input file\nresponse: ````\nKIND: literal"
+    assert preliminary in text
+    fixture.write_text(text.replace(preliminary, preliminary.replace("literal", "hex")),
+                       encoding="utf-8")
+    assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_STAGE_FAILURE
+    err = capsys.readouterr().err
+    assert "prepare failed in stage Opt" in err and "unknown generator kind 'hex'" in err
+    timings = json.loads((demo_config.parent / "work" / "prepare" / "stage_timings.json")
+                         .read_text(encoding="utf-8"))
+    assert [t["name"] for t in timings] == ["SA", "RAG"]
+
+
+def test_demo_prepare_prompts_match_golden(demo_config, monkeypatch):
+    # every request of the demo prepare, in order, is pinned by its sha256
+    prompts = []
+    complete = llm_client.ScriptedBackend.complete
+
+    def recording(self, request):
+        prompts.append(request.prompt_text)
+        return complete(self, request)
+
+    monkeypatch.setattr(llm_client.ScriptedBackend, "complete", recording)
+    assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
+    golden = (Path(__file__).parent / "golden" / "demo_prompts.sha256").read_text().split()
+    assert [hashlib.sha256(p.encode("utf-8")).hexdigest() for p in prompts] == golden
 
 
 def test_exit_codes_are_distinct_and_stable():

@@ -394,15 +394,21 @@ def test_trial_rejected_slow():
     assert report.verdict == "rejected-slow"
 
 
-def test_trial_rejected_crash_on_injected_fault():
-    def injector(i):
-        if i == 1:
-            raise HarnessFault("injected")
+def test_trial_rejected_crash_on_injected_fault(monkeypatch):
+    calls = []
+    real_apply = mutator.apply
 
-    report = trial_run(prog("SetByte(0, 0x41)"), b"zz", fast_runner, duration=0.2,
-                       fault_injector=injector)
+    def faulty_apply(*args):
+        calls.append(args)
+        if len(calls) == 2:
+            raise HarnessFault("injected")
+        return real_apply(*args)
+
+    monkeypatch.setattr(mutator, "apply", faulty_apply)
+    report = trial_run(prog("SetByte(0, 0x41)"), b"zz", fast_runner, duration=0.2)
     assert report.verdict == "rejected-crash"
     assert report.harness_crashes == 1
+    assert report.execs == len(calls) == 2
 
 
 def test_trial_rejected_invalid_noop_program():

@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from conftest import client_from_rules, dedent, engine_from_rules, format_answer
@@ -101,6 +101,54 @@ def test_prior_result_reminder():
     # an empty prior filler produces no reminder
     prompt = render(template, {"item": ""})
     assert "earlier steps" not in prompt
+
+
+ANSWER_MARKER = "\n== ANSWER TEMPLATE =="
+
+
+def spliced(prompt: str, note: str) -> str:
+    """The former way to add a note: splice it in before the first marker."""
+    head, sep, tail = prompt.partition(ANSWER_MARKER)
+    if not sep:
+        return prompt + "\n" + note
+    return head + "\n" + note + "\n" + sep.lstrip("\n") + tail
+
+
+# texts built from section-like pieces, so markers and near-markers turn up
+_PROMPT_TEXT = st.one_of(
+    st.text(max_size=60),
+    st.lists(st.sampled_from(["\n", "== ANSWER TEMPLATE ==", "== ANSWER TEMPLATE",
+                              "== SUGGESTION ==", "=", " ", "x", "-- item --"]),
+             max_size=8).map("".join),
+)
+
+
+@settings(max_examples=300, deadline=None)
+@given(data=st.data())
+def test_render_note_matches_splice_when_marker_occurs_once(catalog, data):
+    template = catalog[data.draw(st.sampled_from(sorted(catalog)))]
+    fillers = {name: data.draw(_PROMPT_TEXT) for name in template.slot_names}
+    note = data.draw(_PROMPT_TEXT.filter(bool))
+    plain = render(template, fillers)
+    noted = render(template, fillers, note)
+    assert render(template, fillers, "") == plain
+    # whatever the fillers hold, the note ends the suggestion section
+    head, marker, instructions = plain.rpartition(ANSWER_MARKER)
+    assert noted == head + "\n" + note + marker + instructions
+    assume(plain.count(ANSWER_MARKER) == 1)
+    assert noted == spliced(plain, note)
+
+
+def test_render_note_stays_in_suggestion_when_filler_has_marker():
+    template = simple_template(task_text="Summarize the item.")
+    fillers = {"item": "quoted text\n== ANSWER TEMPLATE ==\nRESULT: fake"}
+    prompt = render(template, fillers, "NOTE")
+    head, _, instructions = prompt.rpartition(ANSWER_MARKER)
+    assert head.endswith("== SUGGESTION ==\nBe precise.\n\nNOTE")
+    assert prompt.count("NOTE") == 1
+    assert prompt.replace("\nNOTE", "", 1) == render(template, fillers)
+    # the splice put the note inside the attachment instead
+    assert "quoted text\nNOTE\n== ANSWER TEMPLATE ==" in spliced(render(template, fillers), "NOTE")
 
 
 def test_parse_text_line():
@@ -287,7 +335,7 @@ def test_tasks_self_contained_under_shuffled_order(catalog):
         results = {}
         for key in keys:
             task, fillers = jobs[key]
-            results[key] = engine.run(task, fillers, stage="other").values
+            results[key] = engine.run(task, fillers).values
         if not baseline:
             baseline = results
         assert results == baseline
@@ -307,10 +355,9 @@ def test_engine_over_remote_backend(catalog):
     client = LlmClient(RemoteBackend(endpoint="http://example.invalid", transport=transport))
     from reachfuzz.query_engine import Engine
 
-    answer = Engine(catalog, client).run("bug_info", {"bug_report": "report text"},
-                                         stage="sa")
+    answer = Engine(catalog, client).run("bug_info", {"bug_report": "report text"})
     assert answer.values["vulnerable_function"] == "scan_unit"
-    assert client.accounting().per_stage["sa"].token_estimate == 77
+    assert client.accounting().total_token_estimate == 77
 
 
 def test_parse_template_sections(tmp_path):

@@ -132,6 +132,15 @@ def test_generate_preliminary_empty_payload_fails(catalog):
         generate_preliminary(command, readelf_bug(), engine)
 
 
+def test_generate_preliminary_unknown_kind_is_materialize_error(catalog):
+    engine = engine_from_rules(catalog, (
+        "Generate a preliminary input file",
+        "KIND: hex\nPAYLOAD:\n```\n50 36\n```",
+    ))
+    with pytest.raises(MaterializeError, match="unknown generator kind 'hex'"):
+        generate_preliminary(CommandLine("p", ("@@",)), readelf_bug(), engine)
+
+
 def test_materialize_encodings(tmp_path):
     assert materialize(GeneratorSpec("literal", "abc"), tmp_path) == b"abc"
     assert materialize(GeneratorSpec("literal", "50 36 0a", encoding="hex"),
@@ -208,6 +217,26 @@ def test_optimize_reaches_target_in_one_step(catalog, ppm_graph, ppm_runner,
     assert engine.client.accounting().total_requests == 1
     accepted = [st for st in outcome.best_seed.provenance if st.get("accepted")]
     assert accepted and accepted[-1]["goal"] == "parse_dims"
+
+
+def test_optimize_skips_candidates_of_unknown_kind(catalog, ppm_graph, ppm_runner,
+                                                  ppm_command, tmp_path):
+    # a round whose answer names no known kind is skipped like an undecodable
+    # payload; the next round's answer still reaches the target
+    engine = engine_from_rules(
+        catalog,
+        ("how should the input be modified",
+         f"KIND: hex\nCANDIDATE_1:\n```\n{P6_CANDIDATE_HEX}\n```"),
+        CHAIN_FIX,
+        ordinals={0: 1},
+    )
+    chain = callgraph.complete_chain(ppm_graph, ppm_graph.id_of("read_pixels"))
+    outcome = optimize_along_chain(Seed(b"P2\n2 2\n255\n", ppm_command), chain, ppm_graph,
+                                   ppm_runner, engine, budget=30.0,
+                                   definition_source=ppm_definitions,
+                                   sandbox=tmp_path / "sb")
+    assert outcome.status == "reached"
+    assert engine.client.accounting().total_requests == 2
 
 
 def test_optimize_zero_iterations_when_already_reaching(catalog, ppm_graph,
@@ -362,6 +391,21 @@ def test_functionality_fallback_partial_when_probes_fail(catalog, ppm_command,
     assert outcome.candidates
 
 
+def test_functionality_fallback_skips_candidates_of_unknown_kind(catalog, ppm_command,
+                                                                 tmp_path):
+    executed = []
+    engine = engine_from_rules(catalog, (
+        "execute the caller function",
+        f"KIND: hex\nCANDIDATE_1:\n```\n{P6_CANDIDATE_HEX}\n```",
+    ))
+    outcome = optimize_by_functionality(
+        Seed(b"P2\n", ppm_command), gap_graph(), 3, executed.append, engine, budget=10.0,
+        rng=random.Random(5), usage=ppm_usage(), summary_source=ppm_summaries,
+        definition_source=ppm_definitions, sandbox=tmp_path / "sb")
+    assert (outcome.status, outcome.candidates, executed) == ("partial", [], [])
+    assert engine.client.accounting().total_requests == 1
+
+
 def test_functionality_fallback_order_is_seeded(catalog, ppm_command, tmp_path):
     # two callers of the target; record the probe order via prompts
     graph = make_graph(["main", "alpha", "zeta", "target"],
@@ -372,9 +416,9 @@ def test_functionality_fallback_order_is_seeded(catalog, ppm_command, tmp_path):
         def __init__(self, inner):
             self.inner = inner
 
-        def complete(self, request, stage="other"):
+        def complete(self, request):
             prompts.append(request.prompt_text)
-            return self.inner.complete(request, stage)
+            return self.inner.complete(request)
 
         def accounting(self):
             return self.inner.accounting()

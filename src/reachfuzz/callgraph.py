@@ -2,15 +2,15 @@
 
 The graph is ingested from a line-oriented file produced by an external
 extractor; this module never performs source analysis itself. Unresolved
-call sites (typically indirect calls) are kept as annotations, never turned
-into fabricated edges.
+call sites (typically indirect calls) are accepted and dropped: they never
+become edges.
 """
 
 from __future__ import annotations
 
 import logging
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import GraphFormatError, TraceDisjointError
 
@@ -29,7 +29,6 @@ class CallGraph:
     nodes: dict[int, FunctionNode]
     edges: set[tuple[int, int]]
     entry: int
-    unresolved: list[tuple[int, str]] = field(default_factory=list)
 
     def __post_init__(self):
         if self.entry not in self.nodes:
@@ -135,13 +134,13 @@ def load(path) -> CallGraph:
 
     Line forms: ``node <id> <name> <file>``, ``edge <caller> <callee>``,
     ``entry <id>``, ``unresolved <caller> <site-label>``; ``#`` starts a
-    comment. Duplicate edges collapse to one. Function names must be unique
-    because execution traces are recorded by name.
+    comment. Duplicate edges collapse to one; unresolved sites are checked
+    and dropped. Function names must be unique because execution traces are
+    recorded by name.
     """
     nodes: dict[int, FunctionNode] = {}
     edges: set[tuple[int, int]] = set()
     entry: int | None = None
-    unresolved: list[tuple[int, str]] = []
     seen_names: set[str] = set()
     with open(path, encoding="utf-8") as fh:
         for lineno, raw in enumerate(fh, start=1):
@@ -164,7 +163,7 @@ def load(path) -> CallGraph:
                 elif kind == "entry":
                     entry = int(parts[1])
                 elif kind == "unresolved":
-                    unresolved.append((int(parts[1]), parts[2]))
+                    int(parts[1]), parts[2]  # checked, then dropped
                 else:
                     raise ValueError(f"unknown record kind {kind!r}")
             except (IndexError, ValueError) as exc:
@@ -172,28 +171,9 @@ def load(path) -> CallGraph:
     if entry is None:
         raise GraphFormatError(f"{path}: no entry record")
     try:
-        return CallGraph(nodes=nodes, edges=edges, entry=entry, unresolved=unresolved)
+        return CallGraph(nodes=nodes, edges=edges, entry=entry)
     except GraphFormatError as exc:
         raise GraphFormatError(f"{path}: {exc}") from None
-
-
-def distance(graph: CallGraph, src: int, dst: int) -> int | None:
-    """Shortest edge count from src to dst along edge direction; None if unreachable."""
-    graph.require(src)
-    graph.require(dst)
-    if src == dst:
-        return 0
-    seen = {src}
-    frontier = deque([(src, 0)])
-    while frontier:
-        node, d = frontier.popleft()
-        for nxt in graph.successors(node):
-            if nxt == dst:
-                return d + 1
-            if nxt not in seen:
-                seen.add(nxt)
-                frontier.append((nxt, d + 1))
-    return None
 
 
 def distances_to(graph: CallGraph, dst: int) -> dict[int, int]:
@@ -231,27 +211,22 @@ def complete_chain(graph: CallGraph, target: int) -> CallChain | None:
     return chain
 
 
-def neighbors(graph: CallGraph, target: int) -> list[int]:
-    """Direct callers of target, ordered by function name."""
-    graph.require(target)
-    return list(graph.predecessors(target))
-
-
-def deviation(graph: CallGraph, chain: CallChain, trace: TraceObservation
+def deviation(dist: dict[int, int], chain: CallChain, trace: TraceObservation
               ) -> tuple[int, int] | None:
     """Locate where execution left the chain.
 
-    Returns (deviation function, next goal on the chain), or None when the
-    trace already contains the chain's target. Among trace functions lying on
-    the chain the one closest to the target wins; equidistant candidates
-    break toward the latest in the trace, the deepest progress made.
+    ``dist`` is ``distances_to(graph, chain.target)``, which the caller
+    computes once for every round of one optimization. Returns (deviation
+    function, next goal on the chain), or None when the trace already
+    contains the chain's target. Among trace functions lying on the chain
+    the one closest to the target wins; equidistant candidates break toward
+    the latest in the trace, the deepest progress made.
     """
     if not trace.reached:
         raise ValueError("trace is empty")
     if trace.contains(chain.target):
         return None
     on_chain = set(chain.functions)
-    dist = distances_to(graph, chain.target)
     best: tuple[int, int] | None = None  # (distance, trace position)
     for pos, fn in enumerate(trace.reached):
         if fn not in on_chain or fn not in dist:

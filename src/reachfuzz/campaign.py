@@ -42,7 +42,6 @@ STDERR_EXCERPT_LIMIT = 500
 class ExecResult:
     exit_kind: str  # clean | crash | timeout
     trace: TraceObservation
-    duration: float
     stderr_excerpt: str = ""
     crash_class: str | None = None
 
@@ -88,11 +87,8 @@ class Executor:
         head = self.program_exec or [command.program]
         return head + [arg.replace("@@", str(input_path)) for arg in command.args]
 
-    def run(self, command: CommandLine, data: bytes,
-            exec_timeout: float | None = None) -> ExecResult:
+    def run(self, command: CommandLine, data: bytes) -> ExecResult:
         argv = tuple(self.argv_for(command, self._input_path))
-        timeout = exec_timeout if exec_timeout is not None else self.exec_timeout
-        start = time.monotonic()
         # Resolve the server first: a script's top level, run once while the
         # server loads it, may append to the trace file.
         server = self._server(argv)
@@ -100,25 +96,24 @@ class Executor:
         self._trace_path.unlink(missing_ok=True)
         outcome = None
         if server is not None:
-            outcome = server.run(timeout)
+            outcome = server.run(self.exec_timeout)
             if outcome is None:  # the server died; spawn this input, restart next time
                 server.close()
                 del self._servers[argv]
         if outcome is None:
-            outcome = self._spawn(argv, timeout)
+            outcome = self._spawn(argv)
         returncode, stderr = outcome
-        duration = time.monotonic() - start
         trace = self._read_trace()
         excerpt = stderr[:STDERR_EXCERPT_LIMIT].decode("utf-8", errors="replace")
         if returncode is None:
-            return ExecResult("timeout", trace, duration, excerpt)
+            return ExecResult("timeout", trace, excerpt)
         if returncode < 0:
             try:
                 crash_class = signal.Signals(-returncode).name
             except ValueError:
                 crash_class = f"signal-{-returncode}"
-            return ExecResult("crash", trace, duration, excerpt, crash_class=crash_class)
-        return ExecResult("clean", trace, duration, excerpt)
+            return ExecResult("crash", trace, excerpt, crash_class=crash_class)
+        return ExecResult("clean", trace, excerpt)
 
     def close(self):
         """Stop every fork server this executor started."""
@@ -136,11 +131,11 @@ class Executor:
                 if self.fork_server and _preloadable(argv) else None)
         return self._servers[argv]
 
-    def _spawn(self, argv: tuple[str, ...], timeout: float) -> tuple[int | None, bytes]:
+    def _spawn(self, argv: tuple[str, ...]) -> tuple[int | None, bytes]:
         """One process for one input: (returncode or None on timeout, stderr)."""
         try:
             proc = subprocess.run(argv, env=self._env(), stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE, timeout=timeout)
+                                  stderr=subprocess.PIPE, timeout=self.exec_timeout)
         except subprocess.TimeoutExpired as exc:
             return None, exc.stderr or b""
         except FileNotFoundError as exc:
@@ -362,9 +357,11 @@ def run(config: CampaignConfig, program: mutator.MutationProgram | None, graph: 
     ``program`` is the starting mutation program, or None for random-only.
     ``rebuild(prior_strategies, runner)`` returns a ``mutator.MutatorBuild``
     for each periodic refresh; without it a refresh re-issues the current
-    program. The first exception raised in any worker stops the campaign
-    and is re-raised here, after ``events.log`` is written without its
-    ``finish`` event.
+    program. ``events.log`` and ``stats.json`` are written on every exit.
+    The first exception raised in any worker, or a ``KeyboardInterrupt``
+    in the calling thread, which also runs worker 0, stops every worker and
+    is re-raised here after both files are written, ``events.log`` without
+    its ``finish`` event.
     """
     return Campaign(config, program, graph, workdir, program_exec,
                     strategies or [], rebuild).run()
@@ -414,22 +411,31 @@ class Campaign:
         self.deadline = self.start + self.config.duration_limit
         self.events.append({"event": "start", "seeds": len(self.config.seeds),
                             "random_only": self.program is None})
-        if self.config.workers == 1:
+        # Worker 0 runs on the calling thread. That saves a thread start and
+        # its lock hand-offs per campaign: 0.4-0.7 ms on a 2-core VM, about a
+        # tenth of a native campaign that stops at its first crash.
+        threads = [threading.Thread(target=self._work, args=(i,))
+                   for i in range(1, self.config.workers)]
+        for t in threads:
+            t.start()
+        try:
             self._work(0)
-        else:
-            threads = [threading.Thread(target=self._work, args=(i,))
-                       for i in range(self.config.workers)]
-            for t in threads:
-                t.start()
             for t in threads:
                 t.join()
+        except KeyboardInterrupt as exc:
+            with self.lock:
+                self.stop = True
+                self.error = self.error or exc
+            for t in threads:
+                t.join()
+        self.stats.clamp_events = self.counters.clamp_events
+        self.stats.wall_time = time.monotonic() - self.start
         if self.error is None:
-            self.stats.clamp_events = self.counters.clamp_events
-            self.stats.wall_time = time.monotonic() - self.start
             self.events.append({"event": "finish", "total_execs": self.stats.total_execs})
         with open(self.workdir / "events.log", "w", encoding="utf-8") as fh:
             for event in self.events:
                 fh.write(json.dumps(event, sort_keys=True) + "\n")
+        save_stats(self.stats, self.workdir / "stats.json")
         if self.error is not None:
             raise self.error
         return self.stats

@@ -35,6 +35,7 @@ EXIT_USAGE = 2  # argparse convention
 EXIT_STAGE_FAILURE = 3
 EXIT_ISOLATED_TARGET = 4
 EXIT_TIMEOUT_NO_BUG = 5
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell convention
 
 _DURATION = re.compile(r"^(\d+(?:\.\d+)?)(ms|s|m|h)?$")
 _DURATION_UNITS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, None: 1.0}
@@ -370,7 +371,6 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
     fuzz_dir = config.work_dir / "fuzz"
     stats = campaign.run(cfg, program, graph, fuzz_dir, shlex.split(config.program_exec),
                          strategies, rebuild)
-    campaign.save_stats(stats, fuzz_dir / "stats.json")
     timings = campaign.load_stage_timings(prepare_dir / "stage_timings.json")
     report = campaign.render_report(timings, stats)
     (fuzz_dir / "report.txt").write_text(report, encoding="utf-8")
@@ -462,6 +462,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ReachFuzzError, ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_STAGE_FAILURE
+    except KeyboardInterrupt:
+        print("interrupted", file=sys.stderr)
+        return EXIT_INTERRUPTED
 
 
 if __name__ == "__main__":

@@ -23,7 +23,8 @@ log = logging.getLogger(__name__)
 DEFAULT_REFRESH_PERIOD = 3600.0
 DEFAULT_TRIAL_DURATION = 5.0
 DEFAULT_MIN_EXECS_PER_SEC = 10.0
-DEFAULT_MAX_REGENERATIONS = 3
+MAX_REGENERATIONS = 3
+SYNTHESIS_REPAIRS = 3
 
 LE_WIDTHS = (1, 2, 4, 8)
 
@@ -149,7 +150,6 @@ Op = FlipBit | SetByte | InsertBytes | DeleteRange | Overwrite | AddToLE | Resiz
 @dataclass
 class MutationProgram:
     ops: list[Op]
-    strategy_refs: list[int] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.ops:
@@ -239,7 +239,7 @@ def _split_args(body: str) -> list[str]:
     return args
 
 
-def parse_program(text: str, strategy_refs: list[int] | None = None) -> MutationProgram:
+def parse_program(text: str) -> MutationProgram:
     """Parse mutation-language text: one op per line, ``;`` also separates ops."""
     ops: list[Op] = []
     for lineno, raw_line in enumerate(text.split("\n"), start=1):
@@ -256,7 +256,7 @@ def parse_program(text: str, strategy_refs: list[int] | None = None) -> Mutation
             ops.append(_build_op(name, args, where))
     if not ops:
         raise DslError("program contains no operations")
-    return MutationProgram(ops=ops, strategy_refs=strategy_refs or [])
+    return MutationProgram(ops=ops)
 
 
 def _build_op(name: str, args: list[str], where: str) -> Op:
@@ -559,12 +559,13 @@ def _run_strategy_task(engine: Engine, fillers: dict[str, str],
     return strategies
 
 
-def synthesize(strategies: list[MutationStrategy], engine: Engine, feedback: str = "",
-               max_repairs: int = 3) -> MutationProgram:
+def synthesize(strategies: list[MutationStrategy], engine: Engine,
+               feedback: str = "") -> MutationProgram:
     """Turn strategies into a parsed, grammar-valid mutation program.
 
-    Parse failures feed the bounded repair loop with the offending code and
-    the parser's error text.
+    Parse failures feed the repair loop, bounded at ``SYNTHESIS_REPAIRS``
+    rounds, with the offending code and the parser's error text. The
+    answer's ``STRATEGY_REFS`` field is requested but not used.
     """
     if not strategies:
         raise ValueError("at least one strategy is required")
@@ -576,12 +577,11 @@ def synthesize(strategies: list[MutationStrategy], engine: Engine, feedback: str
     }
     answer = engine.run("mutator_synthesis", fillers, temperature=TEMPERATURE_GENERATION)
     raw_programs = [answer.text("program")]
-    refs = _parse_refs(answer.values.get("strategy_refs", "") or "", len(strategies))
-    for _ in range(max_repairs + 1):
+    for _ in range(SYNTHESIS_REPAIRS + 1):
         try:
-            return parse_program(raw_programs[-1], strategy_refs=refs)
+            return parse_program(raw_programs[-1])
         except DslError as exc:
-            if len(raw_programs) > max_repairs:
+            if len(raw_programs) > SYNTHESIS_REPAIRS:
                 break
             repair = engine.run(
                 "mutator_repair",
@@ -592,14 +592,6 @@ def synthesize(strategies: list[MutationStrategy], engine: Engine, feedback: str
             raw_programs.append(repair.text("program"))
     raise TaskError("mutation program synthesis exhausted its repair budget",
                     raw_responses=raw_programs)
-
-
-def _parse_refs(text: str, n_strategies: int) -> list[int]:
-    refs = []
-    for token in re.split(r"[,\s]+", text.strip()):
-        if token.isdigit() and 1 <= int(token) <= n_strategies:
-            refs.append(int(token))
-    return refs
 
 
 @dataclass
@@ -621,17 +613,16 @@ def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runn
                   prior: list[MutationStrategy] | None = None,
                   trial_duration: float = DEFAULT_TRIAL_DURATION,
                   thresholds: TrialThresholds | None = None,
-                  max_regenerations: int = DEFAULT_MAX_REGENERATIONS,
                   rng: random.Random | None = None) -> MutatorBuild:
     """Propose strategies, synthesize, trial; regenerate on rejection.
 
-    After ``max_regenerations`` rejected programs the build gives up and the
+    After ``MAX_REGENERATIONS`` rejected programs the build gives up and the
     campaign falls back to random-only mutation with a warning.
     """
     strategies = propose_strategies(analysis, engine, prior=prior)
     rejected: list[tuple[MutationProgram, TrialReport]] = []
     feedback = ""
-    for attempt in range(1 + max_regenerations):
+    for attempt in range(1 + MAX_REGENERATIONS):
         try:
             program = synthesize(strategies, engine, feedback=feedback)
         except TaskError:
@@ -647,4 +638,4 @@ def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runn
             f"{report.execs_per_sec:.1f} execs/sec). Generate a replacement mutator."
         )
     log.warning("all synthesized mutators were rejected; falling back to random-only mutation")
-    return MutatorBuild(None, None, strategies, max_regenerations, rejected)
+    return MutatorBuild(None, None, strategies, MAX_REGENERATIONS, rejected)

@@ -9,9 +9,8 @@ loop that re-queries with the error appended as an extra suggestion.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from importlib import resources
-from pathlib import Path
 
 from .errors import AnswerParseError, TaskError, TemplateError
 from .llm_client import LlmClient, LlmRequest, TEMPERATURE_EXTRACTION
@@ -90,8 +89,6 @@ class QueryTemplate:
 @dataclass
 class StructuredAnswer:
     values: dict[str, str | list[str]]
-    raw: str
-    warnings: list[str] = field(default_factory=list)
 
     def text(self, name: str) -> str:
         value = self.values[name]
@@ -127,8 +124,6 @@ def render(template: QueryTemplate, fillers: dict[str, str], note: str = "") -> 
     extra = [name for name in fillers if name not in template.slot_names]
     if extra:
         raise TemplateError(f"{template.task_id}: unknown filler slots {extra}")
-    if not template.task_text.strip():
-        raise TemplateError(f"{template.task_id}: task text is empty")
 
     def substitute(text: str) -> str:
         return _SLOT_REF.sub(lambda m: fillers[m.group(1)], text)
@@ -182,7 +177,7 @@ def parse(schema: AnswerSchema, response_text: str) -> StructuredAnswer:
 
     Only labels belonging to the schema terminate a block or list, so prose
     containing unrelated ALL-CAPS words survives intact. The first occurrence
-    of a duplicated label wins and a warning is recorded.
+    of a duplicated label wins.
     """
     labels = {f.label: f for f in schema.fields}
     label_re = re.compile(
@@ -191,7 +186,6 @@ def parse(schema: AnswerSchema, response_text: str) -> StructuredAnswer:
     )
     lines = response_text.split("\n")
     values: dict[str, str | list[str]] = {}
-    warnings: list[str] = []
 
     # label lines inside fenced blocks belong to the block, not the schema
     hits: list[tuple[int, AnswerField, str]] = []
@@ -217,7 +211,6 @@ def parse(schema: AnswerSchema, response_text: str) -> StructuredAnswer:
     boundary = {i for i, _, _ in hits}
     for pos, (i, fld, rest) in enumerate(hits):
         if fld.name in values:
-            warnings.append(f"duplicate field {fld.label}; first occurrence kept")
             continue
         end = hits[pos + 1][0] if pos + 1 < len(hits) else len(lines)
         if fld.kind == "text-line":
@@ -247,7 +240,7 @@ def parse(schema: AnswerSchema, response_text: str) -> StructuredAnswer:
         raise AnswerParseError(
             "missing required field(s): " + ", ".join(missing)
         )
-    return StructuredAnswer(values=values, raw=response_text, warnings=warnings)
+    return StructuredAnswer(values=values)
 
 
 def _parse_fenced(lines: list[str], start: int, end: int, rest: str,
@@ -388,19 +381,12 @@ def parse_template(task_id: str, text: str) -> QueryTemplate:
     )
 
 
-def load_catalog(directory: str | Path | None = None) -> dict[str, QueryTemplate]:
-    """Load every ``*.tmpl`` file; defaults to the catalog shipped in-package."""
+def load_catalog() -> dict[str, QueryTemplate]:
+    """Load every ``*.tmpl`` file of the catalog shipped in-package."""
     catalog: dict[str, QueryTemplate] = {}
-    if directory is None:
-        root = resources.files("reachfuzz") / "templates"
-        entries = sorted(
-            (e for e in root.iterdir() if e.name.endswith(".tmpl")),
-            key=lambda e: e.name,
-        )
-        for entry in entries:
+    root = resources.files("reachfuzz") / "templates"
+    for entry in sorted(root.iterdir(), key=lambda e: e.name):
+        if entry.name.endswith(".tmpl"):
             task_id = entry.name[: -len(".tmpl")]
             catalog[task_id] = parse_template(task_id, entry.read_text(encoding="utf-8"))
-        return catalog
-    for path in sorted(Path(directory).glob("*.tmpl")):
-        catalog[path.stem] = parse_template(path.stem, path.read_text(encoding="utf-8"))
     return catalog

@@ -33,6 +33,8 @@ MAX_KEPT_SEEDS = 8
 SCRIPT_CPU_LIMIT = 10  # seconds
 SCRIPT_WALL_LIMIT = 30.0
 INPUT_DUMP_LIMIT = 4096
+COMMAND_RETRIES = 3
+SCRIPT_REPAIRS = 3
 
 
 @dataclass(frozen=True)
@@ -90,17 +92,17 @@ class OptimizationOutcome:
     candidates: list[Seed] = field(default_factory=list)
 
 
-def hexdump(data: bytes, limit: int = INPUT_DUMP_LIMIT) -> str:
-    """Hex plus printable dump of the input, truncated at ``limit`` bytes."""
+def hexdump(data: bytes) -> str:
+    """Hex plus printable dump of the input, truncated at INPUT_DUMP_LIMIT bytes."""
     rows = []
-    shown = data[:limit]
+    shown = data[:INPUT_DUMP_LIMIT]
     for off in range(0, len(shown), 16):
         row = shown[off:off + 16]
         hexpart = " ".join(f"{b:02x}" for b in row)
         text = "".join(chr(b) if 32 <= b < 127 else "." for b in row)
         rows.append(f"{off:08x}  {hexpart:<47}  |{text}|")
-    if len(data) > limit:
-        rows.append(f"... {len(data) - limit} more bytes")
+    if len(data) > INPUT_DUMP_LIMIT:
+        rows.append(f"... {len(data) - INPUT_DUMP_LIMIT} more bytes")
     if not rows:
         rows.append("(empty input)")
     return "\n".join(rows)
@@ -119,12 +121,11 @@ def parse_command_line(text: str) -> CommandLine:
     return CommandLine(program=tokens[0], args=tuple(tokens[1:]))
 
 
-def select_command(bug_info, usage, target_summary, engine: Engine,
-                   max_retries: int = 3) -> CommandLine:
+def select_command(bug_info, usage, target_summary, engine: Engine) -> CommandLine:
     """Pick the command line most likely to activate the target function.
 
     Answers naming option flags absent from the program usage are rejected
-    and re-queried with the known flags listed, up to ``max_retries`` times.
+    and re-queried with the known flags listed, up to ``COMMAND_RETRIES`` times.
     """
     known_flags = {_flag_base(flag) for flag in usage.flags()}
     fillers = {
@@ -133,7 +134,7 @@ def select_command(bug_info, usage, target_summary, engine: Engine,
     }
     note = ""
     last_error = ""
-    for _ in range(1 + max_retries):
+    for _ in range(1 + COMMAND_RETRIES):
         answer = engine.run("command_selection", fillers, extra_suggestion=note)
         text = answer.text("command")
         try:
@@ -231,11 +232,11 @@ def _run_script(payload: str, runtime_label: str, sandbox: Path) -> tuple[bytes,
 
 
 def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None = None,
-                max_repairs: int = 3, input_expectations: str = "") -> bytes:
+                input_expectations: str = "") -> bytes:
     """Turn a generator spec into input bytes.
 
     Script errors are fed back through the query engine for repair, bounded
-    at ``max_repairs`` rounds; without an engine the first failure is final.
+    at ``SCRIPT_REPAIRS`` rounds; without an engine the first failure is final.
     """
     if spec.kind == "literal":
         data = _decode_literal(spec)
@@ -244,12 +245,12 @@ def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None 
         return data
     sandbox = Path(sandbox)
     payload = spec.payload
-    for attempt in range(1 + max_repairs):
+    for attempt in range(1 + SCRIPT_REPAIRS):
         output, stderr = _run_script(payload, spec.runtime_label, sandbox)
         if output:
             return output
         error = stderr or "generator script produced no output"
-        if engine is None or attempt == max_repairs:
+        if engine is None or attempt == SCRIPT_REPAIRS:
             break
         try:
             answer = engine.run(
@@ -285,14 +286,14 @@ class _AttemptLog:
             self.attempts.append((level, seed))
         return level
 
-    def subset(self, cap: int = MAX_KEPT_SEEDS) -> list[Seed]:
+    def subset(self) -> list[Seed]:
         best: dict[int, Seed] = {}
         for level, seed in self.attempts:
             kept = best.get(level)
             if kept is None or len(seed.data) < len(kept.data):
                 best[level] = seed
         kept_seeds = []
-        for level in sorted(best)[:cap]:
+        for level in sorted(best)[:MAX_KEPT_SEEDS]:
             seed = best[level]
             kept_seeds.append(seed.derived(seed.data, {"task": "keep", "level": level,
                                                        "accepted": True}))
@@ -330,7 +331,7 @@ def optimize_along_chain(seed: Seed, chain: CallChain, graph: CallGraph, runner,
             return OptimizationOutcome("reached", current, [current])
         if time.monotonic() >= deadline:
             return OptimizationOutcome("timeout", current, attempts.subset())
-        dev, goal = callgraph.deviation(graph, chain, trace)
+        dev, goal = callgraph.deviation(attempts.dist, chain, trace)
         goal_name = graph.name_of(goal)
         executed_names = " -> ".join(graph.name_of(f) for f in trace.reached)
         answer = engine.run(
@@ -379,7 +380,7 @@ def optimize_by_functionality(seed: Seed, graph: CallGraph, target: int, runner,
     """
     if budget <= 0:
         raise ValueError("budget must be positive")
-    direct_callers = callgraph.neighbors(graph, target)
+    direct_callers = graph.predecessors(target)
     if not direct_callers:
         return OptimizationOutcome("isolated-target", seed, [])
     deadline = time.monotonic() + budget

@@ -56,7 +56,8 @@ def test_graph_oracles_on_random_dags():
         paths = enumerate_paths(graph, graph.entry, target)
 
         chain = callgraph.complete_chain(graph, target)
-        got_distance = callgraph.distance(graph, graph.entry, target)
+        dist = callgraph.distances_to(graph, target)
+        got_distance = dist.get(graph.entry)
         if not paths:
             assert chain is None and got_distance is None
             continue
@@ -75,14 +76,13 @@ def test_graph_oracles_on_random_dags():
         noise = [f for f in range(n) if f != target and f not in prefix]
         rng.shuffle(noise)
         trace = TraceObservation(prefix + noise[:2])
-        dist = callgraph.distances_to(graph, target)
         expected_dev, expected_pos = None, -1
         for pos, fn in enumerate(trace.reached):
             if fn in set(chain.functions) and fn in dist:
                 if (expected_dev is None or dist[fn] < dist[expected_dev]
                         or (dist[fn] == dist[expected_dev] and pos > expected_pos)):
                     expected_dev, expected_pos = fn, pos
-        dev, goal = callgraph.deviation(graph, chain, trace)
+        dev, goal = callgraph.deviation(dist, chain, trace)
         assert dev == expected_dev
         assert dist[dev] == min(dist[f] for f in trace.reached
                                 if f in set(chain.functions) and f in dist)
@@ -144,7 +144,8 @@ def test_retrieval_matches_full_sort():
 def test_branch_scenario_deviation():
     graph = make_graph(["E", "A", "B", "C", "T"], [(0, 1), (1, 2), (1, 3), (3, 4)])
     chain = CallChain((0, 1, 3, 4))
-    dev, goal = callgraph.deviation(graph, chain, TraceObservation([0, 1, 2]))
+    dev, goal = callgraph.deviation(callgraph.distances_to(graph, 4), chain,
+                                    TraceObservation([0, 1, 2]))
     assert graph.name_of(dev) == "A"
     assert graph.name_of(goal) == "C"
     ok("trace E,A,B against chain E,A,C,T deviates at A with next goal C")
@@ -202,8 +203,7 @@ def test_mutator_rejects_giant_resize_with_bounded_regeneration(
     analysis = mutator.BugAnalysis("overread", ["oversized input"], [])
     build = mutator.build_mutator(analysis, engine, PPM_SEED, runner,
                                   trial_duration=0.5,
-                                  thresholds=TrialThresholds(min_execs_per_sec=10),
-                                  max_regenerations=3)
+                                  thresholds=TrialThresholds(min_execs_per_sec=10))
     assert not build.accepted
     assert build.regenerations == 3
     assert len(build.rejected) == 4  # initial program plus three regenerations

@@ -85,16 +85,23 @@ def test_load_keeps_unresolved_annotations(tmp_path):
         entry 0
     """)
     graph = callgraph.load(path)
-    assert graph.unresolved == [(1, "indirect-call-site-3")]
-    assert len(graph.edges) == 1  # annotation never becomes an edge
+    assert graph.edges == {(0, 1)}  # an unresolved site never becomes an edge
+    for bad in ("unresolved 1", "unresolved x indirect-call-site-3"):
+        path = write_graph(tmp_path, f"""
+            node 0 main m.c
+            {bad}
+            entry 0
+        """)
+        with pytest.raises(GraphFormatError):
+            callgraph.load(path)
 
 
 def test_distance_examples(branch_graph):
-    assert callgraph.distance(branch_graph, E, T) == 3
-    assert callgraph.distance(branch_graph, B, B) == 0
-    assert callgraph.distance(branch_graph, B, T) is None
+    assert callgraph.distances_to(branch_graph, T).get(E) == 3
+    assert callgraph.distances_to(branch_graph, B).get(B) == 0
+    assert callgraph.distances_to(branch_graph, T).get(B) is None
     with pytest.raises(KeyError):
-        callgraph.distance(branch_graph, 99, T)
+        callgraph.distances_to(branch_graph, 99)
 
 
 def test_complete_chain_branch_topology(branch_graph):
@@ -112,32 +119,36 @@ def test_complete_chain_unreachable(branch_graph):
 
 
 def test_neighbors(branch_graph):
-    assert callgraph.neighbors(branch_graph, T) == [C]
-    assert callgraph.neighbors(branch_graph, E) == []
+    assert branch_graph.predecessors(T) == [C]
+    assert branch_graph.predecessors(E) == []
     two_callers = make_graph(["e", "zeta", "alpha", "t"], [(0, 1), (0, 2), (1, 3), (2, 3)])
-    assert [two_callers.name_of(n) for n in callgraph.neighbors(two_callers, 3)] == ["alpha", "zeta"]
+    assert [two_callers.name_of(n) for n in two_callers.predecessors(3)] == ["alpha", "zeta"]
 
 
 def test_deviation_worked_example(branch_graph):
     chain = CallChain((E, A, C, T))
-    dev, goal = callgraph.deviation(branch_graph, chain, TraceObservation([E, A, B]))
+    dev, goal = callgraph.deviation(callgraph.distances_to(branch_graph, T), chain,
+                                    TraceObservation([E, A, B]))
     assert (dev, goal) == (A, C)
 
 
 def test_deviation_none_when_target_reached(branch_graph):
     chain = CallChain((E, A, C, T))
-    assert callgraph.deviation(branch_graph, chain, TraceObservation([E, A, C, T])) is None
+    dist = callgraph.distances_to(branch_graph, T)
+    assert callgraph.deviation(dist, chain, TraceObservation([E, A, C, T])) is None
 
 
 def test_deviation_entry_only_trace(branch_graph):
     chain = CallChain((E, A, C, T))
-    assert callgraph.deviation(branch_graph, chain, TraceObservation([E])) == (E, A)
+    dist = callgraph.distances_to(branch_graph, T)
+    assert callgraph.deviation(dist, chain, TraceObservation([E])) == (E, A)
 
 
 def test_deviation_disjoint_trace_errors(branch_graph):
     chain = CallChain((E, A, C, T))
     with pytest.raises(TraceDisjointError):
-        callgraph.deviation(branch_graph, chain, TraceObservation([B]))
+        callgraph.deviation(callgraph.distances_to(branch_graph, T), chain,
+                            TraceObservation([B]))
 
 
 def test_deviation_tie_breaks_toward_latest_in_trace():
@@ -147,9 +158,9 @@ def test_deviation_tie_breaks_toward_latest_in_trace():
     chain = CallChain((0, 1, 2, 3))
     dist = callgraph.distances_to(graph, 3)
     assert dist[0] == dist[1] == 1
-    dev, goal = callgraph.deviation(graph, chain, TraceObservation([0, 1]))
+    dev, goal = callgraph.deviation(dist, chain, TraceObservation([0, 1]))
     assert (dev, goal) == (1, 2)
-    dev, goal = callgraph.deviation(graph, chain, TraceObservation([1, 0]))
+    dev, goal = callgraph.deviation(dist, chain, TraceObservation([1, 0]))
     assert (dev, goal) == (0, 1)
 
 
@@ -213,11 +224,11 @@ def test_distance_and_chain_match_enumeration_smoke():
         chain = callgraph.complete_chain(graph, target)
         if best is None:
             assert chain is None
-            assert callgraph.distance(graph, graph.entry, target) is None
+            assert graph.entry not in callgraph.distances_to(graph, target)
         else:
             assert chain is not None
             assert chain.functions == best
-            assert callgraph.distance(graph, graph.entry, target) == len(best) - 1
+            assert callgraph.distances_to(graph, target)[graph.entry] == len(best) - 1
             chain.validate(graph, expected_entry=graph.entry)
 
 
@@ -235,10 +246,10 @@ def test_deviation_minimum_distance_and_progress_smoke():
         extras = [f for f in graph.nodes if f not in trace_fns and f != target]
         rng.shuffle(extras)
         trace = TraceObservation(trace_fns + extras[:2])
-        result = callgraph.deviation(graph, chain, trace)
+        dist = callgraph.distances_to(graph, target)
+        result = callgraph.deviation(dist, chain, trace)
         assert result is not None
         dev, goal = result
-        dist = callgraph.distances_to(graph, target)
         on_chain = [f for f in trace.reached if f in set(chain.functions) and f in dist]
         assert dist[dev] == min(dist[f] for f in on_chain)
         assert dist[goal] < dist[dev]  # next goal strictly closer to the target

@@ -215,11 +215,11 @@ def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, star
     # no program_exec: each command names its interpreter and script itself
     sleeper = CommandLine(sys.executable, (str(toy_path("sleeper")), "@@"))
     ppm_command = CommandLine(sys.executable, (str(toy_path("ppmcheck")), "@@"))
-    executor = Executor(ppm_graph, tmp_path, exec_timeout=5.0)
+    executor = Executor(ppm_graph, tmp_path, exec_timeout=0.5)
     try:
         for _ in range(2):
             start = time.monotonic()
-            result = executor.run(sleeper, b"anything", exec_timeout=0.5)
+            result = executor.run(sleeper, b"anything")
             assert result.exit_kind == "timeout"
             assert time.monotonic() - start < 5.0  # the 60 s sleep was cut short
             helper = started_servers[0]

@@ -3,12 +3,19 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from pathlib import Path
 
 import pytest
 
+import reachfuzz
 from conftest import dedent
 from reachfuzz import cli, llm_client
+from reachfuzz.campaign import load_stats
 from reachfuzz.cli import (
     EXIT_ISOLATED_TARGET,
     EXIT_OK,
@@ -300,3 +307,32 @@ def test_fuzz_worker_error_exits_3_with_several_workers(demo_config, monkeypatch
                      "--workers", "2", "--keep-going"])
     assert code == EXIT_STAGE_FAILURE
     assert "injected on the 5th exec" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_fuzz_interrupt_exits_130_and_keeps_the_record(demo_config, workers):
+    assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
+    fuzz = demo_config.parent / "work" / "fuzz"
+    env = dict(os.environ, PYTHONPATH=str(Path(reachfuzz.__file__).parents[1]))
+    child = subprocess.Popen(
+        [sys.executable, "-m", "reachfuzz.cli", "fuzz", "--config", str(demo_config),
+         "--keep-going", "--duration", "60s", "--workers", str(workers)],
+        env=env, stdout=subprocess.DEVNULL, stderr=subprocess.PIPE,
+        # a shell may start the test run with SIGINT ignored; the child must not be
+        preexec_fn=lambda: signal.signal(signal.SIGINT, signal.SIG_DFL))
+    try:
+        deadline = time.monotonic() + 30.0
+        while not (fuzz / "corpus" / "id-1.bin").exists():
+            assert child.poll() is None and time.monotonic() < deadline
+            time.sleep(0.05)
+        os.kill(child.pid, signal.SIGINT)
+        sent = time.monotonic()
+        _, stderr = child.communicate(timeout=5.0)
+        assert time.monotonic() - sent < 5.0
+    finally:
+        child.kill()
+        child.wait()
+    assert child.returncode == cli.EXIT_INTERRUPTED, stderr.decode()
+    events = [json.loads(line)["event"] for line in (fuzz / "events.log").read_text().splitlines()]
+    assert events[0] == "start" and "admit" in events and "finish" not in events
+    assert load_stats(fuzz / "stats.json").total_execs > 0

@@ -335,7 +335,6 @@ def test_synthesize_parses_program(catalog):
     engine = engine_from_rules(catalog, ("Translate the mutation strategies", SYNTH_OK))
     program = synthesize([MutationStrategy("s", "r")], engine)
     assert len(program.ops) == 2
-    assert program.strategy_refs == [1]
 
 
 def test_synthesize_repairs_bad_program(catalog):
@@ -356,7 +355,7 @@ def test_synthesize_exhausts_repairs(catalog):
         ("rejected by the mutation-language parser", "PROGRAM:\n```\nStillBogus(2)\n```"),
     )
     with pytest.raises(TaskError):
-        synthesize([MutationStrategy("s", "r")], engine, max_repairs=3)
+        synthesize([MutationStrategy("s", "r")], engine)
     assert engine.client.accounting().total_requests == 4
 
 
@@ -452,7 +451,7 @@ def test_build_mutator_regeneration_bound(catalog):
         ("Translate the mutation strategies", "PROGRAM:\n```\nSetByte(0, 0x7a)\n```"),
     )
     build = build_mutator(analysis(), engine, b"zz", fast_runner,
-                          trial_duration=0.1, max_regenerations=3)
+                          trial_duration=0.1)
     assert not build.accepted
     assert build.regenerations == 3
     assert len(build.rejected) == 4  # initial attempt plus three regenerations

@@ -14,7 +14,6 @@ from reachfuzz.query_engine import (
     AttachmentSlot,
     QueryTemplate,
     execute_task,
-    load_catalog,
     parse,
     parse_template,
     render,
@@ -174,7 +173,6 @@ def test_parse_duplicate_label_first_wins():
     schema = AnswerSchema((AnswerField("name", "text-line"),))
     answer = parse(schema, "NAME: first\nNAME: second")
     assert answer.values["name"] == "first"
-    assert any("duplicate" in w for w in answer.warnings)
 
 
 def test_parse_malformed_fence():
@@ -299,8 +297,8 @@ def test_execute_task_exhausts_repairs():
     template = simple_template(attachment_slots=(), task_text="Say hi.")
     client = client_from_rules(("Say hi.", "never parseable"))
     with pytest.raises(TaskError) as err:
-        execute_task(template, {}, client, max_repairs=3)
-    assert client.accounting().total_requests == 4  # 1 + max_repairs
+        execute_task(template, {}, client)
+    assert client.accounting().total_requests == 4  # 1 + DEFAULT_MAX_REPAIRS
     assert len(err.value.raw_responses) == 4
 
 
@@ -386,17 +384,3 @@ def test_parse_template_errors():
     bad_answer = "== TASK ==\nhi\n== ATTACHMENTS ==\n== SUGGESTION ==\n\n== ANSWER ==\nbroken line\n"
     with pytest.raises(TemplateError, match="answer line"):
         parse_template("x", bad_answer)
-
-
-def test_load_catalog_from_directory(tmp_path):
-    (tmp_path / "custom.tmpl").write_text(dedent("""
-        == TASK ==
-        Custom task.
-        == ATTACHMENTS ==
-        == SUGGESTION ==
-        None.
-        == ANSWER ==
-        out text-line required
-    """), encoding="utf-8")
-    catalog = load_catalog(tmp_path)
-    assert list(catalog) == ["custom"]

@@ -83,9 +83,8 @@ def test_select_command_gives_up_after_bound(catalog):
         "COMMAND: readelf --never-valid @@\nDESCRIPTION: nope.",
     ))
     with pytest.raises(TaskError, match="invalid commands"):
-        select_command(readelf_bug(), readelf_usage(), frame_summary(), engine,
-                       max_retries=2)
-    assert engine.client.accounting().total_requests == 3
+        select_command(readelf_bug(), readelf_usage(), frame_summary(), engine)
+    assert engine.client.accounting().total_requests == 4  # 1 + COMMAND_RETRIES
 
 
 def test_parse_command_line_errors():
@@ -172,8 +171,8 @@ def test_materialize_script_repair_bound(catalog, tmp_path):
     ))
     spec = GeneratorSpec("script", "raise RuntimeError('broken')\n")
     with pytest.raises(MaterializeError, match="never produced output"):
-        materialize(spec, tmp_path / "sb", engine, max_repairs=2)
-    assert engine.client.accounting().total_requests == 2
+        materialize(spec, tmp_path / "sb", engine)
+    assert engine.client.accounting().total_requests == 3  # SCRIPT_REPAIRS
 
 
 def test_materialize_script_without_engine(tmp_path):
@@ -299,7 +298,7 @@ def test_optimize_progress_is_sound(catalog, ppm_graph, ppm_runner, ppm_command,
     dist = callgraph.distances_to(ppm_graph, target)
     seed = Seed(b"P2\n2 2\n255\n", ppm_command)
     first = ppm_runner(seed.data)
-    dev, goal = callgraph.deviation(ppm_graph, chain, first.trace)
+    dev, goal = callgraph.deviation(dist, chain, first.trace)
     outcome = optimize_along_chain(seed, chain, ppm_graph, ppm_runner, engine,
                                    budget=30.0, definition_source=ppm_definitions,
                                    sandbox=tmp_path / "sb")
@@ -445,7 +444,7 @@ def test_functionality_fallback_order_is_seeded(catalog, ppm_command, tmp_path):
         from reachfuzz.callgraph import TraceObservation
         from reachfuzz.campaign import ExecResult
 
-        return ExecResult("clean", TraceObservation([0]), 0.0)
+        return ExecResult("clean", TraceObservation([0]))
 
     assert run_once(1) == run_once(1)
     orders = {tuple(run_once(s)) for s in range(6)}

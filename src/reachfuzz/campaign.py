@@ -28,6 +28,7 @@ from pathlib import Path
 from . import callgraph, mutator
 from .callgraph import CallGraph, TraceObservation
 from .errors import ReachFuzzError
+from .llm_client import child_environment
 from .seedgen import CommandLine
 
 log = logging.getLogger(__name__)
@@ -51,57 +52,57 @@ class ExecResult:
 
 
 class Executor:
-    """Runs the target with trace capture; one executor per worker context.
+    """Runs one command with trace capture; one executor per worker context.
 
-    ``program_exec``, when not empty, is the argv head that replaces the
-    command's program, whatever name the command gives it.
+    The argv, with ``@@`` naming the executor's input file, and the child
+    environment are fixed at construction. ``program_exec``, when not
+    empty, is the argv head that replaces the command's program, whatever
+    name the command gives it. Children see this process's environment
+    without the ``RF_LLM_*`` backend settings, plus ``RF_TRACE_FILE``.
 
-    A command whose head is ``<python interpreter> <script>.py`` runs
-    through a fork server (``forkserver.py``) that the executor starts on
-    first use: the script is loaded once and each input runs in a forked
-    child. Every other command, a script the server cannot preload, and
-    every command when ``fork_server`` is false (the reference the tests
-    compare the server against) spawn one process per input. ``close()``
-    stops the servers; so does collecting the executor, or interpreter exit.
+    An argv of the form ``<python interpreter> <script>.py`` runs through a
+    fork server (``forkserver.py``) that the executor starts on first use
+    and restarts on the next input after it dies: the script is loaded once
+    and each input runs in a forked child. Every other argv, a script the
+    server cannot preload, and every argv when ``fork_server`` is false (the
+    reference the tests compare the server against) spawn one process per
+    input. ``close()`` stops the server.
     """
 
-    def __init__(self, graph: CallGraph, workdir: str | Path,
+    def __init__(self, graph: CallGraph, workdir: str | Path, command: CommandLine,
                  exec_timeout: float = DEFAULT_EXEC_TIMEOUT,
                  program_exec: list[str] | None = None,
                  tag: str = "0", *, fork_server: bool = True):
         self.graph = graph
-        self.workdir = Path(workdir)
-        self.workdir.mkdir(parents=True, exist_ok=True)
+        workdir = Path(workdir)
+        workdir.mkdir(parents=True, exist_ok=True)
         self.exec_timeout = exec_timeout
-        self.program_exec = program_exec
-        self.fork_server = fork_server
         self.missing_traces = 0
-        self._input_path = self.workdir / f"input-{tag}.bin"
-        self._trace_path = self.workdir / f"trace-{tag}.log"
-        self._stderr_path = self.workdir / f"stderr-{tag}.log"
-        # argv -> its running server, or None where argv is spawned
-        self._servers: dict[tuple[str, ...], ForkServer | None] = {}
-        weakref.finalize(self, _stop_servers, self._servers)
+        self._input_path = workdir / f"input-{tag}.bin"
+        self._trace_path = workdir / f"trace-{tag}.log"
+        self._stderr_path = workdir / f"stderr-{tag}.log"
+        head = program_exec or [command.program]
+        self.argv = tuple(head + [arg.replace("@@", str(self._input_path))
+                                  for arg in command.args])
+        self.env = child_environment() | {TRACE_ENV_VAR: str(self._trace_path)}
+        self.fork_server = fork_server and _preloadable(self.argv)
+        self.server: ForkServer | None = None
 
-    def argv_for(self, command: CommandLine, input_path: Path) -> list[str]:
-        head = self.program_exec or [command.program]
-        return head + [arg.replace("@@", str(input_path)) for arg in command.args]
-
-    def run(self, command: CommandLine, data: bytes) -> ExecResult:
-        argv = tuple(self.argv_for(command, self._input_path))
-        # Resolve the server first: a script's top level, run once while the
-        # server loads it, may append to the trace file.
-        server = self._server(argv)
+    def run(self, data: bytes) -> ExecResult:
+        if self.fork_server and self.server is None:
+            # Started before the input is written: a script's top level, run
+            # once while the server loads it, may append to the trace file.
+            self.server = ForkServer.start(self.argv, self.env, self._stderr_path)
+            self.fork_server = self.server is not None
         self._input_path.write_bytes(data)
         self._trace_path.unlink(missing_ok=True)
         outcome = None
-        if server is not None:
-            outcome = server.run(self.exec_timeout)
+        if self.server is not None:
+            outcome = self.server.run(self.exec_timeout)
             if outcome is None:  # the server died; spawn this input, restart next time
-                server.close()
-                del self._servers[argv]
+                self.close()
         if outcome is None:
-            outcome = self._spawn(argv)
+            outcome = self._spawn()
         returncode, stderr = outcome
         trace = self._read_trace()
         excerpt = stderr[:STDERR_EXCERPT_LIMIT].decode("utf-8", errors="replace")
@@ -116,25 +117,15 @@ class Executor:
         return ExecResult("clean", trace, excerpt)
 
     def close(self):
-        """Stop every fork server this executor started."""
-        _stop_servers(self._servers)
+        """Stop the fork server, if one runs."""
+        if self.server is not None:
+            self.server.close()
+            self.server = None
 
-    def _env(self) -> dict[str, str]:
-        env = dict(os.environ)
-        env[TRACE_ENV_VAR] = str(self._trace_path)
-        return env
-
-    def _server(self, argv: tuple[str, ...]) -> ForkServer | None:
-        if argv not in self._servers:
-            self._servers[argv] = (
-                ForkServer.start(argv, self._env(), self._stderr_path)
-                if self.fork_server and _preloadable(argv) else None)
-        return self._servers[argv]
-
-    def _spawn(self, argv: tuple[str, ...]) -> tuple[int | None, bytes]:
+    def _spawn(self) -> tuple[int | None, bytes]:
         """One process for one input: (returncode or None on timeout, stderr)."""
         try:
-            proc = subprocess.run(argv, env=self._env(), stdout=subprocess.DEVNULL,
+            proc = subprocess.run(self.argv, env=self.env, stdout=subprocess.DEVNULL,
                                   stderr=subprocess.PIPE, timeout=self.exec_timeout)
         except subprocess.TimeoutExpired as exc:
             return None, exc.stderr or b""
@@ -170,24 +161,19 @@ def _preloadable(argv: tuple[str, ...]) -> bool:
             and argv[1].endswith(".py"))
 
 
-def _stop_servers(servers: dict[tuple[str, ...], ForkServer | None]):
-    for server in servers.values():
-        if server is not None:
-            server.close()
-    servers.clear()
-
-
 class ForkServer:
     """Orchestrator side of one ``forkserver.py`` helper process.
 
     The helper serves one fixed argv; each request forks one child. It is
     single-threaded and owned by one executor, so no orchestrator thread
-    ever forks.
+    ever forks. ``close()``, collecting the server and interpreter exit
+    stop the helper, all through one finalizer.
     """
 
     def __init__(self, proc: subprocess.Popen, stderr_path: Path):
         self.proc = proc
         self.stderr_path = stderr_path
+        self._finalizer = weakref.finalize(self, _stop_helper, proc)
 
     @classmethod
     def start(cls, argv: tuple[str, ...], env: dict[str, str],
@@ -238,16 +224,20 @@ class ForkServer:
             return returncode, fh.read(STDERR_EXCERPT_LIMIT)
 
     def close(self):
-        self.proc.kill()
-        self.proc.wait()
-        self.proc.stdin.close()
-        self.proc.stdout.close()
+        self._finalizer()
 
     def _reply(self, timeout: float | None) -> bytes | None:
         """One reply line; b"" when the helper is gone, None on timeout."""
         if timeout is not None and not select.select([self.proc.stdout], [], [], timeout)[0]:
             return None
         return self.proc.stdout.readline()
+
+
+def _stop_helper(proc: subprocess.Popen):
+    proc.kill()
+    proc.wait()
+    proc.stdin.close()
+    proc.stdout.close()
 
 
 # --- baseline random mutation --------------------------------------------------
@@ -293,6 +283,7 @@ def random_mutate(data: bytes, rng: random.Random) -> bytes:
 @dataclass
 class CampaignConfig:
     command: CommandLine
+    program_exec: list[str]  # replaces the command's program when not empty
     seeds: list  # list[Seed]
     target_function: int
     duration_limit: float
@@ -348,8 +339,7 @@ class CampaignStats:
 
 
 def run(config: CampaignConfig, program: mutator.MutationProgram | None, graph: CallGraph,
-        workdir: str | Path, program_exec: list[str] | None = None,
-        strategies: list[mutator.MutationStrategy] | None = None,
+        workdir: str | Path, strategies: list[mutator.MutationStrategy] | None = None,
         rebuild=None) -> CampaignStats:
     """Run the directed campaign until the duration limit or the first
     target-attributed crash (when stop_on_first is set).
@@ -363,8 +353,7 @@ def run(config: CampaignConfig, program: mutator.MutationProgram | None, graph: 
     is re-raised here after both files are written, ``events.log`` without
     its ``finish`` event.
     """
-    return Campaign(config, program, graph, workdir, program_exec,
-                    strategies or [], rebuild).run()
+    return Campaign(config, program, graph, workdir, strategies or [], rebuild).run()
 
 
 class Campaign:
@@ -379,12 +368,11 @@ class Campaign:
     """
 
     def __init__(self, config: CampaignConfig, program: mutator.MutationProgram | None,
-                 graph: CallGraph, workdir: str | Path, program_exec: list[str] | None,
+                 graph: CallGraph, workdir: str | Path,
                  strategies: list[mutator.MutationStrategy], rebuild):
         self.config = config
         self.graph = graph
         self.workdir = Path(workdir)
-        self.program_exec = program_exec
         self.rebuild = rebuild
         self.program = program
         self.strategies = strategies
@@ -442,10 +430,11 @@ class Campaign:
 
     def _work(self, widx: int):
         """One worker; its first exception stops every worker."""
-        executor = Executor(self.graph, self.workdir / "exec", self.config.exec_timeout,
-                            self.program_exec, tag=str(widx))
+        config = self.config
+        executor = Executor(self.graph, self.workdir / "exec", config.command,
+                            config.exec_timeout, config.program_exec, tag=str(widx))
         try:
-            self._fuzz(random.Random((self.config.rng_seed << 8) ^ widx), executor)
+            self._fuzz(random.Random((config.rng_seed << 8) ^ widx), executor)
         except Exception as exc:  # noqa: BLE001 - re-raised by run()
             with self.lock:
                 self.stop = True
@@ -468,7 +457,7 @@ class Campaign:
                 data = random_mutate(parent, rng)
             if not data:
                 continue  # degenerate mutation; next iteration re-seeds from the corpus
-            result = executor.run(config.command, data)
+            result = executor.run(data)
             with self.lock:
                 if self.stop:
                     return
@@ -503,8 +492,7 @@ class Campaign:
         build = None
         if self.rebuild is not None:
             # only the refreshing worker writes the strategies
-            build = self.rebuild(self.strategies,
-                                 lambda data: executor.run(self.config.command, data))
+            build = self.rebuild(self.strategies, executor.run)
         with self.lock:
             self.refreshing = False
             if build is not None and not build.accepted:

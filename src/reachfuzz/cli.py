@@ -10,13 +10,16 @@ counters from the persisted files alone.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import dataclasses
 import json
 import logging
 import random
 import re
 import shlex
+import signal
 import sys
+import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
@@ -35,7 +38,7 @@ EXIT_USAGE = 2  # argparse convention
 EXIT_STAGE_FAILURE = 3
 EXIT_ISOLATED_TARGET = 4
 EXIT_TIMEOUT_NO_BUG = 5
-EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell convention
+EXIT_INTERRUPTED = 130  # 128 + SIGINT, the shell convention; SIGTERM exits so too
 
 _DURATION = re.compile(r"^(\d+(?:\.\d+)?)(ms|s|m|h)?$")
 _DURATION_UNITS = {"ms": 0.001, "s": 1.0, "m": 60.0, "h": 3600.0, None: 1.0}
@@ -133,16 +136,19 @@ class StageClock:
     def __init__(self):
         self.timings: list[campaign.StageTiming] = []
 
-    def run(self, name: str, fn, timed_out=None):
+    @contextlib.contextmanager
+    def stage(self, name: str):
+        """Time the block as stage ``name``; it gets the stage's StageTiming,
+        whose ``timed_out`` it may set. A ReachFuzzError in the block is
+        raised as a StageFailure, and the stage is not recorded."""
+        timing = campaign.StageTiming(name, 0.0)
         start = time.monotonic()
         try:
-            result = fn()
+            yield timing
         except ReachFuzzError as exc:
             raise StageFailure(name, str(exc)) from exc
-        seconds = time.monotonic() - start
-        self.timings.append(campaign.StageTiming(
-            name, seconds, bool(timed_out and timed_out(result))))
-        return result
+        timing.seconds = time.monotonic() - start
+        self.timings.append(timing)
 
 
 def _definition_source(config: ProjectConfig, graph: callgraph.CallGraph):
@@ -175,36 +181,36 @@ def cmd_prepare(config: ProjectConfig, fixture_override: Path | None = None,
 
     executor = None  # one for Opt and Mutator, so a Python target is preloaded once
     try:
-        graph, bug, target, chain = clock.run(
-            "SA", lambda: _stage_sa(config, engine))
-        usage, index = clock.run(
-            "RAG", lambda: _stage_rag(config, engine, bug, prepare_dir))
-        executor = campaign.Executor(graph, prepare_dir / "exec", config.exec_timeout,
-                                     shlex.split(config.program_exec))
-        outcome, command, summaries = clock.run(
-            "Opt",
-            lambda: _stage_opt(config, engine, graph, bug, usage, target,
-                               chain, prepare_dir, opt_budget, executor),
-            timed_out=lambda result: result[0].status == "timeout",
-        )
+        with clock.stage("SA"):
+            graph, bug, target, chain = _stage_sa(config, engine)
+        with clock.stage("RAG"):
+            usage = _stage_rag(config, engine, bug, prepare_dir)
+        with clock.stage("Opt") as opt:
+            summaries = SummaryCache(engine, _definition_source(config, graph))
+            command = seedgen.select_command(
+                bug, usage, summaries.get(bug.vulnerable_function), engine)
+            executor = campaign.Executor(graph, prepare_dir / "exec", command,
+                                         config.exec_timeout,
+                                         shlex.split(config.program_exec))
+            outcome = _stage_opt(config, engine, graph, bug, usage, target, chain,
+                                 prepare_dir, opt_budget, command, summaries,
+                                 executor.run)
+            opt.timed_out = outcome.status == "timeout"
         if outcome.status == "isolated-target":
-            campaign.save_stage_timings(clock.timings, prepare_dir / "stage_timings.json")
             print("prepare: target has no complete call chain and no direct callers "
                   "(isolated target)", file=sys.stderr)
             return EXIT_ISOLATED_TARGET
-        build = clock.run(
-            "Mutator",
-            lambda: _stage_mutator(config, engine, bug, summaries,
-                                   outcome, command, prepare_dir, executor))
+        with clock.stage("Mutator"):
+            build = _stage_mutator(config, engine, bug, summaries, outcome, prepare_dir,
+                                   executor.run)
     except StageFailure as exc:
-        campaign.save_stage_timings(clock.timings, prepare_dir / "stage_timings.json")
         print(f"prepare failed in stage {exc.stage}: {exc}", file=sys.stderr)
         return EXIT_STAGE_FAILURE
     finally:
         if executor is not None:
             executor.close()
+        campaign.save_stage_timings(clock.timings, prepare_dir / "stage_timings.json")
 
-    campaign.save_stage_timings(clock.timings, prepare_dir / "stage_timings.json")
     bundle = {
         "status": outcome.status,
         "program": bug.program,
@@ -241,24 +247,20 @@ def _stage_rag(config: ProjectConfig, engine: Engine, bug: BugInfo, prepare_dir:
     usage = knowledge.derive_program_usage(bug, index, engine)
     _dump_json(prepare_dir / "bug_info.json", dataclasses.asdict(bug))
     _dump_json(prepare_dir / "usage.json", dataclasses.asdict(usage))
-    return usage, index
+    return usage
 
 
 def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
                usage: ProgramUsage, target: int, chain, prepare_dir: Path,
-               opt_budget: float, executor: campaign.Executor):
-    definition_source = _definition_source(config, graph)
-    summaries = SummaryCache(engine, definition_source)
-    target_summary = summaries.get(bug.vulnerable_function)
-    command = seedgen.select_command(bug, usage, target_summary, engine)
+               opt_budget: float, command: CommandLine, summaries: SummaryCache,
+               runner) -> seedgen.OptimizationOutcome:
+    definition_source = summaries.definition_source
     spec = seedgen.generate_preliminary(command, bug, engine,
                                         input_expectations=command.description)
     sandbox = prepare_dir / "gen"
     data = seedgen.materialize(spec, sandbox, engine,
                                input_expectations=command.description)
     seed = Seed(data, command, ({"task": "preliminary_seed", "accepted": True},))
-
-    runner = lambda data: executor.run(command, data)  # noqa: E731
     if chain is not None:
         outcome = seedgen.optimize_along_chain(
             seed, chain, graph, runner, engine, opt_budget,
@@ -272,20 +274,19 @@ def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
         seedgen.write_outcome(outcome, prepare_dir / "seeds")
         _dump_json(prepare_dir / "summaries.json",
                    {name: dataclasses.asdict(s) for name, s in summaries.snapshot().items()})
-    return outcome, command, summaries
+    return outcome
 
 
 def _stage_mutator(config: ProjectConfig, engine: Engine, bug: BugInfo,
-                   summaries: SummaryCache, outcome, command: CommandLine,
-                   prepare_dir: Path, executor: campaign.Executor) -> mutator.MutatorBuild:
+                   summaries: SummaryCache, outcome, prepare_dir: Path,
+                   runner) -> mutator.MutatorBuild:
     target_summary = summaries.get(bug.vulnerable_function)
     analysis = mutator.analyze_bug(bug, target_summary, engine)
     _dump_json(prepare_dir / "analysis.json", dataclasses.asdict(analysis))
-    runner = lambda data: executor.run(command, data)  # noqa: E731
     build = mutator.build_mutator(
         analysis, engine, outcome.best_seed.data, runner,
         trial_duration=config.trial_duration,
-        thresholds=mutator.TrialThresholds(config.min_execs_per_sec),
+        min_execs_per_sec=config.min_execs_per_sec,
         rng=random.Random(config.rng_seed),
     )
     mutator_dir = prepare_dir / "mutator"
@@ -358,6 +359,7 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
 
     cfg = campaign.CampaignConfig(
         command=command,
+        program_exec=shlex.split(config.program_exec),
         seeds=seeds,
         target_function=target,
         duration_limit=duration if duration is not None else config.campaign_duration,
@@ -369,8 +371,7 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
         workers=workers,
     )
     fuzz_dir = config.work_dir / "fuzz"
-    stats = campaign.run(cfg, program, graph, fuzz_dir, shlex.split(config.program_exec),
-                         strategies, rebuild)
+    stats = campaign.run(cfg, program, graph, fuzz_dir, strategies, rebuild)
     timings = campaign.load_stage_timings(prepare_dir / "stage_timings.json")
     report = campaign.render_report(timings, stats)
     (fuzz_dir / "report.txt").write_text(report, encoding="utf-8")
@@ -398,10 +399,9 @@ def _build_rebuild(config: ProjectConfig, prepare_dir: Path, seeds: list[Seed],
         relevant_fields=[tuple(x) for x in payload["relevant_fields"]],
     )
     engine = Engine(load_catalog(), client)
-    thresholds = mutator.TrialThresholds(config.min_execs_per_sec)
     return lambda prior, runner: mutator.build_mutator(
         analysis, engine, seeds[0].data, runner, prior=prior,
-        trial_duration=config.trial_duration, thresholds=thresholds)
+        trial_duration=config.trial_duration, min_execs_per_sec=config.min_execs_per_sec)
 
 
 def cmd_report(work_dir: Path) -> int:
@@ -447,6 +447,11 @@ def main(argv: list[str] | None = None) -> int:
 
     args = parser.parse_args(argv)
     logging.basicConfig(level=logging.WARNING, format="%(levelname)s %(name)s: %(message)s")
+    # SIGTERM takes the interrupt path, so that `kill` keeps a campaign's record.
+    # Only the main thread may set a handler; the previous one comes back at return.
+    on_main_thread = threading.current_thread() is threading.main_thread()
+    if on_main_thread:
+        previous_sigterm = signal.signal(signal.SIGTERM, signal.default_int_handler)
     try:
         if args.command == "prepare":
             config = load_config(args.config)
@@ -465,6 +470,9 @@ def main(argv: list[str] | None = None) -> int:
     except KeyboardInterrupt:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    finally:
+        if on_main_thread:
+            signal.signal(signal.SIGTERM, previous_sigterm)
 
 
 if __name__ == "__main__":

@@ -23,9 +23,18 @@ DEFAULT_MAX_RESPONSE_CHARS = 20_000
 TEMPERATURE_EXTRACTION = 0.2
 TEMPERATURE_GENERATION = 0.7
 
-ENV_ENDPOINT = "RF_LLM_ENDPOINT"
-ENV_API_KEY = "RF_LLM_API_KEY"
-ENV_MODEL = "RF_LLM_MODEL"
+ENV_PREFIX = "RF_LLM_"
+ENV_ENDPOINT = ENV_PREFIX + "ENDPOINT"
+ENV_API_KEY = ENV_PREFIX + "API_KEY"
+ENV_MODEL = ENV_PREFIX + "MODEL"
+
+
+def child_environment() -> dict[str, str]:
+    """This process's environment without the backend settings (every
+    ``RF_LLM_*`` name), for the programs the fuzzer runs: targets and
+    generator scripts."""
+    return {name: value for name, value in os.environ.items()
+            if not name.startswith(ENV_PREFIX)}
 
 
 @dataclass(frozen=True)

@@ -387,11 +387,6 @@ def apply(program: MutationProgram, data: bytes, rng: random.Random,
 # --- trial run ---------------------------------------------------------------
 
 @dataclass
-class TrialThresholds:
-    min_execs_per_sec: float = DEFAULT_MIN_EXECS_PER_SEC
-
-
-@dataclass
 class TrialReport:
     execs_per_sec: float
     harness_crashes: int
@@ -406,7 +401,7 @@ class TrialReport:
 
 def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
               duration: float = DEFAULT_TRIAL_DURATION,
-              thresholds: TrialThresholds | None = None,
+              min_execs_per_sec: float = DEFAULT_MIN_EXECS_PER_SEC,
               rng: random.Random | None = None) -> TrialReport:
     """Short mutate-and-execute run validating stability and throughput.
 
@@ -415,7 +410,6 @@ def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
     A program whose outputs never differ from the seed, or are always empty,
     is rejected as invalid.
     """
-    thresholds = thresholds or TrialThresholds()
     rng = rng or random.Random(0)
     start = time.monotonic()
     execs = 0
@@ -439,7 +433,7 @@ def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
             harness_crashes += 1
             execs += 1
             break
-        if getattr(result, "exit_kind", "clean") == "crash":
+        if result.exit_kind == "crash":
             target_crashes += 1
         execs += 1
     elapsed = max(time.monotonic() - start, 1e-9)
@@ -448,7 +442,7 @@ def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
         verdict = "rejected-crash"
     elif not produced_change:
         verdict = "rejected-invalid"
-    elif eps < thresholds.min_execs_per_sec:
+    elif eps < min_execs_per_sec:
         verdict = "rejected-slow"
     else:
         verdict = "accepted"
@@ -612,7 +606,7 @@ class MutatorBuild:
 def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runner,
                   prior: list[MutationStrategy] | None = None,
                   trial_duration: float = DEFAULT_TRIAL_DURATION,
-                  thresholds: TrialThresholds | None = None,
+                  min_execs_per_sec: float = DEFAULT_MIN_EXECS_PER_SEC,
                   rng: random.Random | None = None) -> MutatorBuild:
     """Propose strategies, synthesize, trial; regenerate on rejection.
 
@@ -629,7 +623,7 @@ def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runn
             log.warning("mutator synthesis failed; falling back to random-only mutation")
             return MutatorBuild(None, None, strategies, attempt, rejected)
         report = trial_run(program, seed_bytes, runner, duration=trial_duration,
-                           thresholds=thresholds, rng=rng)
+                           min_execs_per_sec=min_execs_per_sec, rng=rng)
         if report.accepted:
             return MutatorBuild(program, report, strategies, attempt, rejected)
         rejected.append((program, report))

@@ -44,12 +44,6 @@ class AnswerSchema:
         if len(set(names)) != len(names):
             raise TemplateError("answer schema field names must be unique")
 
-    def field(self, name: str) -> AnswerField:
-        for f in self.fields:
-            if f.name == name:
-                return f
-        raise KeyError(name)
-
     @property
     def required_names(self) -> list[str]:
         return [f.name for f in self.fields if f.required]

@@ -22,7 +22,7 @@ from pathlib import Path
 from . import callgraph
 from .callgraph import CallChain, CallGraph
 from .errors import MaterializeError, TaskError
-from .llm_client import TEMPERATURE_GENERATION
+from .llm_client import TEMPERATURE_GENERATION, child_environment
 from .query_engine import Engine
 
 log = logging.getLogger(__name__)
@@ -202,7 +202,8 @@ def _runtime_argv(runtime_label: str) -> list[str]:
 
 
 def _run_script(payload: str, runtime_label: str, sandbox: Path) -> tuple[bytes, str]:
-    """Run a generator script in the sandbox dir; returns (stdout, stderr)."""
+    """Run a generator script in the sandbox dir, with no ``RF_LLM_*`` name in
+    its environment; returns (stdout, stderr)."""
     sandbox.mkdir(parents=True, exist_ok=True)
     script = sandbox / "generator.py"
     script.write_text(payload, encoding="utf-8")
@@ -216,6 +217,7 @@ def _run_script(payload: str, runtime_label: str, sandbox: Path) -> tuple[bytes,
         proc = subprocess.run(
             _runtime_argv(runtime_label) + [str(script)],
             cwd=sandbox,
+            env=child_environment(),
             stdout=subprocess.PIPE,
             stderr=subprocess.PIPE,
             timeout=SCRIPT_WALL_LIMIT,

@@ -94,14 +94,14 @@ def started_servers(monkeypatch):
 
 
 @pytest.fixture
-def ppm_executor(ppm_graph, ppm_program_exec, tmp_path) -> campaign.Executor:
-    return campaign.Executor(ppm_graph, tmp_path / "exec", exec_timeout=5.0,
+def ppm_executor(ppm_graph, ppm_command, ppm_program_exec, tmp_path) -> campaign.Executor:
+    return campaign.Executor(ppm_graph, tmp_path / "exec", ppm_command, exec_timeout=5.0,
                              program_exec=ppm_program_exec)
 
 
 @pytest.fixture
-def ppm_runner(ppm_executor, ppm_command):
-    return lambda data: ppm_executor.run(ppm_command, data)
+def ppm_runner(ppm_executor):
+    return ppm_executor.run
 
 
 @pytest.fixture

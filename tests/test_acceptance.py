@@ -18,7 +18,7 @@ from reachfuzz import callgraph, campaign, cli, demo, mutator
 from reachfuzz.callgraph import CallChain, TraceObservation
 from reachfuzz.campaign import CampaignConfig, CampaignStats, StageTiming
 from reachfuzz.knowledge import Chunk, HashEmbedder, build_index, retrieve_top_k
-from reachfuzz.mutator import MutationStrategy, TrialThresholds
+from reachfuzz.mutator import MutationStrategy
 from reachfuzz.seedgen import CommandLine, Seed
 
 GOLDEN = Path(__file__).parent / "golden"
@@ -153,7 +153,7 @@ def test_branch_scenario_deviation():
 
 # --- 4. end-to-end preparation on the shipped toy project --------------------------
 
-def test_prepare_end_to_end(tmp_path, ppm_executor, ppm_command):
+def test_prepare_end_to_end(tmp_path, ppm_executor):
     config_path = demo.build_workspace(tmp_path / "ws")
     start = time.monotonic()
     assert cli.main(["prepare", "--config", str(config_path)]) == cli.EXIT_OK
@@ -165,7 +165,7 @@ def test_prepare_end_to_end(tmp_path, ppm_executor, ppm_command):
     assert bundle["llm_requests"] <= 20
     seeds = sorted((work / "prepare" / "seeds").glob("seed-*.bin"))
     assert seeds
-    result = ppm_executor.run(ppm_command, seeds[0].read_bytes())
+    result = ppm_executor.run(seeds[0].read_bytes())
     assert result.trace.contains(3)  # read_pixels
     ok(f"prepare reached the target in {elapsed:.1f}s with "
        f"{bundle['llm_requests']} backend requests")
@@ -183,16 +183,16 @@ def test_mutator_repair_then_accept(catalog, ppm_runner):
     program = mutator.synthesize([MutationStrategy("grow the width digit", "")], engine)
     assert engine.client.accounting().total_requests == 2
     report = mutator.trial_run(program, PPM_SEED, ppm_runner, duration=1.0,
-                               thresholds=TrialThresholds(min_execs_per_sec=10))
+                               min_execs_per_sec=10)
     assert report.verdict == "accepted"
     ok("one malformed then one valid program costs exactly 2 requests and is accepted")
 
 
 def test_mutator_rejects_giant_resize_with_bounded_regeneration(
         catalog, ppm_graph, ppm_command, ppm_program_exec, tmp_path):
-    executor = campaign.Executor(ppm_graph, tmp_path / "exec", exec_timeout=30.0,
-                                 program_exec=ppm_program_exec)
-    runner = lambda data: executor.run(ppm_command, data)  # noqa: E731
+    executor = campaign.Executor(ppm_graph, tmp_path / "exec", ppm_command,
+                                 exec_timeout=30.0, program_exec=ppm_program_exec)
+    runner = executor.run
     engine = engine_from_rules(
         catalog,
         ("Generate fuzzing mutation strategies",
@@ -203,7 +203,7 @@ def test_mutator_rejects_giant_resize_with_bounded_regeneration(
     analysis = mutator.BugAnalysis("overread", ["oversized input"], [])
     build = mutator.build_mutator(analysis, engine, PPM_SEED, runner,
                                   trial_duration=0.5,
-                                  thresholds=TrialThresholds(min_execs_per_sec=10))
+                                  min_execs_per_sec=10)
     assert not build.accepted
     assert build.regenerations == 3
     assert len(build.rejected) == 4  # initial program plus three regenerations
@@ -233,12 +233,12 @@ def prepared(tmp_path_factory):
 def run_campaign(prepared, workdir, *, seeds, program, rng_seed, duration,
                  stop_on_first=True, mix_ratio=0.8, refresh_period=3600.0):
     cfg = CampaignConfig(
-        command=prepared["command"], seeds=seeds, target_function=3,
+        command=prepared["command"], program_exec=prepared["program_exec"],
+        seeds=seeds, target_function=3,
         duration_limit=duration, exec_timeout=5.0, rng_seed=rng_seed,
         mix_ratio=mix_ratio, refresh_period=refresh_period,
         stop_on_first=stop_on_first, workers=1)
-    return campaign.run(cfg, program, prepared["graph"], workdir,
-                        prepared["program_exec"])
+    return campaign.run(cfg, program, prepared["graph"], workdir)
 
 
 # --- 6. directed campaign beats random-only ----------------------------------------

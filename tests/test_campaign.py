@@ -46,44 +46,45 @@ def test_command_line_placeholder_rules():
 # --- executor -------------------------------------------------------------------
 
 def test_execute_clean_run_traces_chain(ppm_executor, ppm_command, ppm_graph):
-    result = ppm_executor.run(ppm_command, PPM_SEED)
+    result = ppm_executor.run(PPM_SEED)
     assert result.exit_kind == "clean"
     names = [ppm_graph.name_of(f) for f in result.trace.reached]
     assert names == ["main", "parse_header", "parse_dims", "read_pixels"]
 
 
 def test_execute_overflow_crashes_at_target(ppm_executor, ppm_command, ppm_graph):
-    result = ppm_executor.run(ppm_command, PPM_CRASH)
+    result = ppm_executor.run(PPM_CRASH)
     assert result.exit_kind == "crash"
     assert result.crash_class == "SIGSEGV"
     assert result.trace.contains(ppm_graph.id_of("read_pixels"))
 
 
 def test_execute_reject_path(ppm_executor, ppm_command, ppm_graph):
-    result = ppm_executor.run(ppm_command, b"BM not a ppm")
+    result = ppm_executor.run(b"BM not a ppm")
     assert result.exit_kind == "clean"  # diagnostic exit, not a crash
     names = [ppm_graph.name_of(f) for f in result.trace.reached]
     assert names == ["main", "parse_header", "reject_input"]
     assert "not a raw PPM" in result.stderr_excerpt
 
 
-def test_execute_timeout(tmp_path, ppm_program_exec):
+def test_execute_timeout(tmp_path):
     import sys
 
     from reachfuzz.toys import toy_path
 
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, exec_timeout=0.2,
+    executor = Executor(graph, tmp_path, CommandLine("sleeper", ("@@",)), exec_timeout=0.2,
                         program_exec=[sys.executable, str(toy_path("sleeper"))])
-    result = executor.run(CommandLine("sleeper", ("@@",)), b"anything")
+    result = executor.run(b"anything")
     assert result.exit_kind == "timeout"
 
 
 def test_execute_missing_program(tmp_path):
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, exec_timeout=1.0)
+    executor = Executor(graph, tmp_path, CommandLine("no-such-binary-xyz", ("@@",)),
+                        exec_timeout=1.0)
     with pytest.raises(Exception, match="spawn"):
-        executor.run(CommandLine("no-such-binary-xyz", ("@@",)), b"x")
+        executor.run(b"x")
 
 
 def test_execute_missing_trace_file_yields_empty_trace(tmp_path, caplog):
@@ -91,9 +92,10 @@ def test_execute_missing_trace_file_yields_empty_trace(tmp_path, caplog):
 
     # `true` ignores the trace protocol entirely, so no trace file appears
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, exec_timeout=2.0, program_exec=["true"])
+    executor = Executor(graph, tmp_path, CommandLine("quiet", ("@@",)), exec_timeout=2.0,
+                        program_exec=["true"])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
-        result = executor.run(CommandLine("quiet", ("@@",)), b"x")
+        result = executor.run(b"x")
     assert result.exit_kind == "clean"
     assert result.trace.reached == []
     assert any("trace file missing" in r.message for r in caplog.records)
@@ -101,10 +103,11 @@ def test_execute_missing_trace_file_yields_empty_trace(tmp_path, caplog):
 
 def test_execute_missing_trace_warns_once_and_counts(tmp_path, caplog):
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, exec_timeout=2.0, program_exec=["true"])
+    executor = Executor(graph, tmp_path, CommandLine("quiet", ("@@",)), exec_timeout=2.0,
+                        program_exec=["true"])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
         for _ in range(3):
-            executor.run(CommandLine("quiet", ("@@",)), b"x")
+            executor.run(b"x")
     assert executor.missing_traces == 3
     assert sum("trace file missing" in r.message for r in caplog.records) == 1
 
@@ -112,8 +115,8 @@ def test_execute_missing_trace_warns_once_and_counts(tmp_path, caplog):
 # --- fork server ------------------------------------------------------------------
 
 @pytest.fixture(params=["fork-server", "spawn"])
-def backend_executor(request, ppm_graph, ppm_program_exec, tmp_path):
-    executor = Executor(ppm_graph, tmp_path / "exec", exec_timeout=5.0,
+def backend_executor(request, ppm_graph, ppm_command, ppm_program_exec, tmp_path):
+    executor = Executor(ppm_graph, tmp_path / "exec", ppm_command, exec_timeout=5.0,
                         program_exec=ppm_program_exec,
                         fork_server=request.param == "fork-server")
     yield executor
@@ -146,13 +149,13 @@ def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_progra
             for _ in range(rng.randint(1, 4)):
                 data = random_mutate(data, rng) or base
             inputs.append(data)
-    forked = Executor(ppm_graph, tmp_path / "fork", 5.0, ppm_program_exec)
-    spawned = Executor(ppm_graph, tmp_path / "spawn", 5.0, ppm_program_exec,
+    forked = Executor(ppm_graph, tmp_path / "fork", ppm_command, 5.0, ppm_program_exec)
+    spawned = Executor(ppm_graph, tmp_path / "spawn", ppm_command, 5.0, ppm_program_exec,
                        fork_server=False)
     kinds = set()
     try:
         for data in inputs:
-            got, want = forked.run(ppm_command, data), spawned.run(ppm_command, data)
+            got, want = forked.run(data), spawned.run(data)
             assert (got.exit_kind, got.crash_class, got.trace.reached, got.stderr_excerpt) \
                 == (want.exit_kind, want.crash_class, want.trace.reached,
                     want.stderr_excerpt), f"input {data!r}"
@@ -212,24 +215,20 @@ def test_fork_server_exit_status_matches_interpreter(tmp_path):
 
 
 def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, started_servers):
-    # no program_exec: each command names its interpreter and script itself
+    # no program_exec: the command names its interpreter and script itself
     sleeper = CommandLine(sys.executable, (str(toy_path("sleeper")), "@@"))
-    ppm_command = CommandLine(sys.executable, (str(toy_path("ppmcheck")), "@@"))
-    executor = Executor(ppm_graph, tmp_path, exec_timeout=0.5)
+    executor = Executor(ppm_graph, tmp_path, sleeper, exec_timeout=0.5)
     try:
         for _ in range(2):
             start = time.monotonic()
-            result = executor.run(sleeper, b"anything")
+            result = executor.run(b"anything")
             assert result.exit_kind == "timeout"
             assert time.monotonic() - start < 5.0  # the 60 s sleep was cut short
+            assert [ppm_graph.name_of(f) for f in result.trace.reached] == ["main"]
             helper = started_servers[0]
             assert helper is not None and helper.proc.poll() is None
             assert children_of(helper.proc.pid) == []  # killed and reaped
-        result = executor.run(ppm_command, PPM_CRASH)
-        assert (result.exit_kind, result.crash_class) == ("crash", "SIGSEGV")
-        assert [ppm_graph.name_of(f) for f in result.trace.reached] == [
-            "main", "parse_header", "parse_dims", "read_pixels"]
-        assert len(started_servers) == 2  # the sleeper's helper was not restarted
+        assert len(started_servers) == 1  # the helper served the second input too
     finally:
         executor.close()
 
@@ -242,10 +241,10 @@ def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_serve
         "sys.stderr.write('read ' + open(sys.argv[1]).read() + '\\n')\n"
         "sys.exit(3)\n")
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path / "exec", 5.0, [sys.executable, str(script)])
+    executor = Executor(graph, tmp_path / "exec", CommandLine("nomain", ("@@",)), 5.0,
+                        [sys.executable, str(script)])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
-        results = [executor.run(CommandLine("nomain", ("@@",)), data)
-                   for data in (b"one", b"two")]
+        results = [executor.run(data) for data in (b"one", b"two")]
     executor.close()
     assert started_servers == [None]  # tried once, then every input spawned
     assert "cannot preload" in caplog.text
@@ -257,10 +256,10 @@ def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_serve
 
 def test_close_and_campaign_end_stop_fork_servers(
         tmp_path, ppm_graph, ppm_command, ppm_program_exec, started_servers):
-    executor = Executor(ppm_graph, tmp_path / "exec", 5.0, ppm_program_exec)
-    assert executor.run(ppm_command, PPM_SEED).exit_kind == "clean"
+    executor = Executor(ppm_graph, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
+    assert executor.run(PPM_SEED).exit_kind == "clean"
     config = ppm_campaign_config(ppm_command, duration_limit=0.5, stop_on_first=False)
-    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_exec)
+    stats = campaign.run(config, None, ppm_graph, tmp_path / "c")
     assert stats.total_execs > 0
     own, campaigns = started_servers
     assert own is not None and campaigns is not None
@@ -268,6 +267,34 @@ def test_close_and_campaign_end_stop_fork_servers(
     assert not process_gone(own.proc.pid)
     executor.close()
     assert process_gone(own.proc.pid)
+
+
+ENV_SCRIPT = """\
+import os, sys
+
+def main():
+    sys.stderr.write("key=" + os.environ.get("RF_LLM_API_KEY", ""))
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+@pytest.mark.parametrize("fork_server", [True, False])
+def test_target_sees_no_llm_settings(fork_server, tmp_path, monkeypatch, started_servers):
+    monkeypatch.setenv("RF_LLM_API_KEY", "secret-key")
+    script = tmp_path / "env.py"
+    script.write_text(ENV_SCRIPT)
+    executor = Executor(make_graph(["main"], []), tmp_path / "exec",
+                        CommandLine("env", ("@@",)), 5.0, [sys.executable, str(script)],
+                        fork_server=fork_server)
+    try:
+        result = executor.run(b"x")
+    finally:
+        executor.close()
+    assert result.stderr_excerpt == "key="
+    assert [server is not None for server in started_servers] == [True] * fork_server
 
 
 def predicted_trace(data: bytes) -> tuple[list[str], str]:
@@ -309,7 +336,7 @@ def test_trace_fidelity_over_input_enumeration(backend_executor, ppm_command, pp
                     if not data:
                         continue
                     expected_names, expected_kind = predicted_trace(data)
-                    result = ppm_executor.run(ppm_command, data)
+                    result = ppm_executor.run(data)
                     got = [ppm_graph.name_of(f) for f in result.trace.reached]
                     assert got == expected_names, f"input {data!r}"
                     assert result.exit_kind == expected_kind, f"input {data!r}"
@@ -353,6 +380,7 @@ CRASH_PROGRAM = "Overwrite(3, 39)\nDeleteRange(end-4, 4)"
 def ppm_campaign_config(ppm_command, seeds=None, **overrides) -> CampaignConfig:
     defaults = dict(
         command=ppm_command,
+        program_exec=[sys.executable, str(toy_path("ppmcheck"))],
         seeds=seeds or [Seed(PPM_SEED, ppm_command)],
         target_function=3,
         duration_limit=30.0,
@@ -378,10 +406,10 @@ def test_config_validation(ppm_command):
         ppm_campaign_config(ppm_command, refresh_period=0.0)
 
 
-def test_run_finds_target_crash(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
+def test_run_finds_target_crash(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command)
     program = mutator.parse_program(CRASH_PROGRAM)
-    stats = campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec)
+    stats = campaign.run(config, program, ppm_graph, tmp_path / "c")
     assert stats.found_target_crash
     assert stats.time_to_first_target_crash is not None
     assert stats.execs_reaching_target >= 1
@@ -391,26 +419,26 @@ def test_run_finds_target_crash(tmp_path, ppm_graph, ppm_command, ppm_program_ex
     assert (tmp_path / "c" / "events.log").exists()
 
 
-def test_run_random_only_flagged(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
+def test_run_random_only_flagged(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, duration_limit=0.5)
-    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_exec)
+    stats = campaign.run(config, None, ppm_graph, tmp_path / "c")
     assert stats.random_only
     assert stats.total_execs > 0
 
 
-def test_run_zero_duration(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
+def test_run_zero_duration(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, duration_limit=0.0)
-    stats = campaign.run(config, None, ppm_graph, tmp_path / "c", ppm_program_exec)
+    stats = campaign.run(config, None, ppm_graph, tmp_path / "c")
     assert stats.total_execs == 0
     assert stats.time_to_first_target_crash is None
     assert not stats.crashes
 
 
-def test_run_corpus_grows_monotonically(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
+def test_run_corpus_grows_monotonically(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, duration_limit=1.5, stop_on_first=False)
     program = mutator.parse_program(CRASH_PROGRAM)
     workdir = tmp_path / "c"
-    campaign.run(config, program, ppm_graph, workdir, ppm_program_exec)
+    campaign.run(config, program, ppm_graph, workdir)
     covered: set[int] = set()
     for line in (workdir / "events.log").read_text().splitlines():
         event = json.loads(line)
@@ -421,25 +449,24 @@ def test_run_corpus_grows_monotonically(tmp_path, ppm_graph, ppm_command, ppm_pr
 
 
 def test_run_stop_on_first_records_nothing_after_crash(
-        tmp_path, ppm_graph, ppm_command, ppm_program_exec):
+        tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command)
     program = mutator.parse_program(CRASH_PROGRAM)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, program, ppm_graph, workdir, ppm_program_exec)
+    stats = campaign.run(config, program, ppm_graph, workdir)
     events = [json.loads(line) for line in (workdir / "events.log").read_text().splitlines()]
     crash_execs = [e["exec"] for e in events if e["event"] == "crash" and e["reached_target"]]
     assert crash_execs
     assert stats.total_execs == crash_execs[0]  # nothing recorded past the stop
 
 
-def test_run_records_each_crash_input_once(tmp_path, ppm_graph, ppm_command,
-                                          ppm_program_exec):
+def test_run_records_each_crash_input_once(tmp_path, ppm_graph, ppm_command):
     # the program has no random operands, so it yields the same few crash inputs
     config = ppm_campaign_config(ppm_command, duration_limit=1.0, stop_on_first=False,
                                  mix_ratio=1.0)
     program = mutator.parse_program(CRASH_PROGRAM)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, program, ppm_graph, workdir, ppm_program_exec)
+    stats = campaign.run(config, program, ppm_graph, workdir)
     hashes = [c.input_hash for c in stats.crashes]
     assert len(hashes) == len(set(hashes))
     events = [json.loads(line) for line in (workdir / "events.log").read_text().splitlines()]
@@ -449,28 +476,27 @@ def test_run_records_each_crash_input_once(tmp_path, ppm_graph, ppm_command,
     assert max(c.count for c in stats.crashes) > 1
 
 
-def test_run_reproducible_events_and_stats(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
+def test_run_reproducible_events_and_stats(tmp_path, ppm_graph, ppm_command):
     program = mutator.parse_program(CRASH_PROGRAM)
     runs = []
     for name in ("one", "two"):
         config = ppm_campaign_config(ppm_command, rng_seed=1234)
         stats = campaign.run(config, program, ppm_graph,
-                             tmp_path / name, ppm_program_exec)
+                             tmp_path / name)
         runs.append((stats, (tmp_path / name / "events.log").read_bytes()))
     assert runs[0][0] == runs[1][0]
     assert runs[0][1] == runs[1][1]
 
 
-def test_run_refresh_events_counted(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
+def test_run_refresh_events_counted(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, duration_limit=2.0, refresh_period=0.5,
                                  stop_on_first=False)
     program = mutator.parse_program(CRASH_PROGRAM)
-    stats = campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec)
+    stats = campaign.run(config, program, ppm_graph, tmp_path / "c")
     assert 3 <= stats.refresh_events <= 5  # floor(2.0 / 0.5) give or take one
 
 
-def test_run_persists_refreshed_program_with_trial(tmp_path, ppm_graph, ppm_command,
-                                                   ppm_program_exec):
+def test_run_persists_refreshed_program_with_trial(tmp_path, ppm_graph, ppm_command):
     from reachfuzz.mutator import MutatorBuild, TrialReport
 
     program = mutator.parse_program(CRASH_PROGRAM)
@@ -483,7 +509,7 @@ def test_run_persists_refreshed_program_with_trial(tmp_path, ppm_graph, ppm_comm
     config = ppm_campaign_config(ppm_command, duration_limit=1.0, refresh_period=0.3,
                                  stop_on_first=False)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, program, ppm_graph, workdir, ppm_program_exec,
+    stats = campaign.run(config, program, ppm_graph, workdir,
                          rebuild=rebuild)
     assert stats.refresh_events >= 1
     assert (workdir / "mutators" / "active-1.mut").exists()
@@ -491,10 +517,10 @@ def test_run_persists_refreshed_program_with_trial(tmp_path, ppm_graph, ppm_comm
     assert trial["verdict"] == "accepted"
 
 
-def test_run_multi_worker_smoke(tmp_path, ppm_graph, ppm_command, ppm_program_exec):
+def test_run_multi_worker_smoke(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, workers=2)
     program = mutator.parse_program(CRASH_PROGRAM)
-    stats = campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec)
+    stats = campaign.run(config, program, ppm_graph, tmp_path / "c")
     assert stats.found_target_crash
 
 
@@ -503,7 +529,7 @@ def read_events(workdir: Path) -> list[dict]:
 
 
 def test_llm_rebuild_swaps_in_program_and_strategies(catalog, tmp_path, ppm_graph,
-                                                     ppm_command, ppm_program_exec):
+                                                     ppm_command):
     from conftest import engine_from_rules
     from reachfuzz.mutator import BugAnalysis, MutationStrategy
 
@@ -526,7 +552,7 @@ def test_llm_rebuild_swaps_in_program_and_strategies(catalog, tmp_path, ppm_grap
                                  stop_on_first=False)
     workdir = tmp_path / "c"
     stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph, workdir,
-                         ppm_program_exec, [MutationStrategy("old idea", "")], rebuild)
+                         [MutationStrategy("old idea", "")], rebuild)
     assert len(priors) == stats.refresh_events >= 2
     assert priors[0] == ["old idea"]
     assert all(prior == ["fresh idea"] for prior in priors[1:])
@@ -538,8 +564,7 @@ def test_llm_rebuild_swaps_in_program_and_strategies(catalog, tmp_path, ppm_grap
                          for n in range(1, len(priors) + 1)]
 
 
-def test_llm_rebuild_failure_keeps_program(catalog, tmp_path, ppm_graph, ppm_command,
-                                           ppm_program_exec):
+def test_llm_rebuild_failure_keeps_program(catalog, tmp_path, ppm_graph, ppm_command):
     from conftest import engine_from_rules
     from reachfuzz.mutator import BugAnalysis, MutationStrategy
 
@@ -559,7 +584,7 @@ def test_llm_rebuild_failure_keeps_program(catalog, tmp_path, ppm_graph, ppm_com
                                  stop_on_first=False, mix_ratio=1.0)
     workdir = tmp_path / "c"
     stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph, workdir,
-                         ppm_program_exec, [MutationStrategy("old", "")], rebuild)
+                         [MutationStrategy("old", "")], rebuild)
     assert stats.refresh_events >= 1
     refreshes = [e for e in read_events(workdir) if e["event"] == "refresh"]
     assert refreshes == [{"event": "refresh", "n": n, "swapped": False}
@@ -574,19 +599,18 @@ def counting_executor_run(monkeypatch, on_call):
     calls = [0]
     original = Executor.run
 
-    def run(self, *args, **kwargs):
+    def run(self, data):
         with lock:
             calls[0] += 1
             n = calls[0]
         on_call(n)
-        return original(self, *args, **kwargs)
+        return original(self, data)
 
     monkeypatch.setattr(Executor, "run", run)
     return calls
 
 
-def test_refresh_runs_while_other_workers_fuzz(tmp_path, ppm_graph, ppm_command,
-                                               ppm_program_exec, monkeypatch):
+def test_refresh_runs_while_other_workers_fuzz(tmp_path, ppm_graph, ppm_command, monkeypatch):
     others_ran = threading.Event()
     refresher = {}
 
@@ -608,7 +632,7 @@ def test_refresh_runs_while_other_workers_fuzz(tmp_path, ppm_graph, ppm_command,
 
     config = ppm_campaign_config(ppm_command, duration_limit=1.5, refresh_period=0.2,
                                  stop_on_first=False, workers=2)
-    stats = campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec,
+    stats = campaign.run(config, program, ppm_graph, tmp_path / "c",
                          rebuild=rebuild)
     assert waited == [True], "the other worker ran fewer than 20 execs during a refresh"
     assert stats.refresh_events >= 1
@@ -616,7 +640,7 @@ def test_refresh_runs_while_other_workers_fuzz(tmp_path, ppm_graph, ppm_command,
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_worker_error_stops_campaign_and_is_raised(workers, tmp_path, ppm_graph,
-                                                   ppm_command, ppm_program_exec,
+                                                   ppm_command,
                                                    monkeypatch):
     def on_call(n):
         if n == 5:
@@ -628,16 +652,15 @@ def test_worker_error_stops_campaign_and_is_raised(workers, tmp_path, ppm_graph,
     start = time.monotonic()
     with pytest.raises(OSError, match="5th exec"):
         campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph,
-                     tmp_path / "c", ppm_program_exec)
+                     tmp_path / "c")
     assert time.monotonic() - start < 5.0
     assert calls[0] <= 5 + (workers - 1)  # each other worker ends its exec in flight
 
 
-def test_worker_error_keeps_events_recorded_before_it(tmp_path, ppm_graph, ppm_command,
-                                                      ppm_program_exec, monkeypatch):
+def test_worker_error_keeps_events_recorded_before_it(tmp_path, ppm_graph, ppm_command, monkeypatch):
     program = mutator.parse_program(CRASH_PROGRAM)
     config = ppm_campaign_config(ppm_command, duration_limit=2.0, stop_on_first=False)
-    campaign.run(config, program, ppm_graph, tmp_path / "ref", ppm_program_exec)
+    campaign.run(config, program, ppm_graph, tmp_path / "ref")
     reference = read_events(tmp_path / "ref")
     assert reference[-1]["event"] == "finish" and reference[-1]["total_execs"] >= 40
 
@@ -647,7 +670,7 @@ def test_worker_error_keeps_events_recorded_before_it(tmp_path, ppm_graph, ppm_c
 
     counting_executor_run(monkeypatch, on_call)
     with pytest.raises(OSError, match="40th exec"):
-        campaign.run(config, program, ppm_graph, tmp_path / "c", ppm_program_exec)
+        campaign.run(config, program, ppm_graph, tmp_path / "c")
     events = read_events(tmp_path / "c")
     kinds = [e["event"] for e in events]
     assert kinds[0] == "start" and "finish" not in kinds
@@ -656,8 +679,7 @@ def test_worker_error_keeps_events_recorded_before_it(tmp_path, ppm_graph, ppm_c
     assert events == [e for e in reference if e.get("exec", 0) < 40 and e["event"] != "finish"]
 
 
-def test_shared_state_survives_many_workers_and_refreshes(tmp_path, ppm_graph, ppm_command,
-                                                          ppm_program_exec, monkeypatch):
+def test_shared_state_survives_many_workers_and_refreshes(tmp_path, ppm_graph, ppm_command, monkeypatch):
     calls = counting_executor_run(monkeypatch, lambda n: None)
     config = ppm_campaign_config(ppm_command, duration_limit=1.5, refresh_period=0.05,
                                  stop_on_first=False, workers=4)
@@ -666,7 +688,7 @@ def test_shared_state_survives_many_workers_and_refreshes(tmp_path, ppm_graph, p
     sys.setswitchinterval(1e-5)
     try:
         stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph,
-                             workdir, ppm_program_exec)
+                             workdir)
     finally:
         sys.setswitchinterval(interval)
     assert stats.total_execs == calls[0] > 0  # every exec recorded once

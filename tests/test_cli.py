@@ -110,6 +110,23 @@ def test_prepare_starts_one_fork_server_and_stops_it(demo_config, started_server
     assert not Path(f"/proc/{started_servers[0].proc.pid}").exists()
 
 
+def test_prepare_failing_after_opt_stops_the_fork_server(demo_config, started_servers,
+                                                          capsys):
+    # a bug analysis answer without its required CAUSE fails stage Mutator
+    fixture = demo_config.parent / "ppmcheck.fixture"
+    text = fixture.read_text(encoding="utf-8")
+    cause = "CAUSE: read_pixels trusts"
+    assert cause in text
+    fixture.write_text(text.replace(cause, "REASON: read_pixels trusts"), encoding="utf-8")
+    assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_STAGE_FAILURE
+    assert "prepare failed in stage Mutator" in capsys.readouterr().err
+    timings = json.loads((demo_config.parent / "work" / "prepare" / "stage_timings.json")
+                         .read_text(encoding="utf-8"))
+    assert [t["name"] for t in timings] == ["SA", "RAG", "Opt"]
+    assert len(started_servers) == 1 and started_servers[0] is not None
+    assert not Path(f"/proc/{started_servers[0].proc.pid}").exists()
+
+
 def test_report_is_pure_function_of_files(demo_config, capsys):
     cli.main(["prepare", "--config", str(demo_config)])
     work = demo_config.parent / "work"
@@ -268,7 +285,8 @@ def test_program_exec_replaces_any_command_program_name(demo_config):
     assert cli.main(["fuzz", "--config", str(demo_config), "--duration", "30s"]) == EXIT_OK
 
 
-def test_fuzz_refresh_rebuilds_on_the_worker_executor(demo_config, started_servers):
+def test_fuzz_refresh_rebuilds_on_the_worker_executor(demo_config, started_servers,
+                                                      monkeypatch, caplog):
     assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
     text = demo_config.read_text(encoding="utf-8")
     for old, new in (("refresh_period = 1h", "refresh_period = 400ms"),
@@ -277,6 +295,14 @@ def test_fuzz_refresh_rebuilds_on_the_worker_executor(demo_config, started_serve
         text = text.replace(old, new)
     demo_config.write_text(text, encoding="utf-8")
     started_servers.clear()
+    prompts = []
+    complete = llm_client.ScriptedBackend.complete
+
+    def recording(self, request):
+        prompts.append(request.prompt_text)
+        return complete(self, request)
+
+    monkeypatch.setattr(llm_client.ScriptedBackend, "complete", recording)
     code = cli.main(["fuzz", "--config", str(demo_config), "--duration", "1500ms",
                      "--keep-going"])
     assert code in (EXIT_OK, EXIT_TIMEOUT_NO_BUG)
@@ -284,6 +310,11 @@ def test_fuzz_refresh_rebuilds_on_the_worker_executor(demo_config, started_serve
     events = [json.loads(line) for line in (fuzz / "events.log").read_text().splitlines()]
     refreshes = [e for e in events if e["event"] == "refresh"]
     assert refreshes and all(e["swapped"] for e in refreshes)
+    # each refresh asks once for strategies and once for their program: the
+    # fixture answers a refresh with strategies new to it, so no retry
+    strategy_requests = [p for p in prompts if "Generate fuzzing mutation strategies" in p]
+    assert len(strategy_requests) == len(refreshes) and len(prompts) == 2 * len(refreshes)
+    assert "kept returning duplicates" not in caplog.text
     trial = json.loads((fuzz / "mutators" / "active-1.trial.json").read_text())
     assert trial["verdict"] == "accepted"
     # the refresh trial ran on the worker's own executor and fork server
@@ -297,10 +328,10 @@ def test_fuzz_worker_error_exits_3_with_several_workers(demo_config, monkeypatch
     calls = itertools.count(1)  # next() on it is atomic across the worker threads
     original = campaign.Executor.run
 
-    def failing_run(self, *args, **kwargs):
+    def failing_run(self, data):
         if next(calls) == 5:
             raise OSError("injected on the 5th exec")
-        return original(self, *args, **kwargs)
+        return original(self, data)
 
     monkeypatch.setattr(campaign.Executor, "run", failing_run)
     code = cli.main(["fuzz", "--config", str(demo_config), "--duration", "30s",
@@ -309,8 +340,9 @@ def test_fuzz_worker_error_exits_3_with_several_workers(demo_config, monkeypatch
     assert "injected on the 5th exec" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("signame", ["SIGINT", "SIGTERM"])
 @pytest.mark.parametrize("workers", [1, 2])
-def test_fuzz_interrupt_exits_130_and_keeps_the_record(demo_config, workers):
+def test_fuzz_interrupt_exits_130_and_keeps_the_record(demo_config, workers, signame):
     assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
     fuzz = demo_config.parent / "work" / "fuzz"
     env = dict(os.environ, PYTHONPATH=str(Path(reachfuzz.__file__).parents[1]))
@@ -325,7 +357,7 @@ def test_fuzz_interrupt_exits_130_and_keeps_the_record(demo_config, workers):
         while not (fuzz / "corpus" / "id-1.bin").exists():
             assert child.poll() is None and time.monotonic() < deadline
             time.sleep(0.05)
-        os.kill(child.pid, signal.SIGINT)
+        os.kill(child.pid, getattr(signal, signame))
         sent = time.monotonic()
         _, stderr = child.communicate(timeout=5.0)
         assert time.monotonic() - sent < 5.0

@@ -16,7 +16,6 @@ from reachfuzz.mutator import (
     MutationProgram,
     MutationStrategy,
     SetByte,
-    TrialThresholds,
     analyze_bug,
     apply,
     build_mutator,
@@ -377,7 +376,7 @@ def fast_runner(data):
 
 def test_trial_accepted():
     report = trial_run(prog("SetByte(0, 0x41)"), b"zz", fast_runner, duration=0.2,
-                       thresholds=TrialThresholds(min_execs_per_sec=10))
+                       min_execs_per_sec=10)
     assert report.verdict == "accepted"
     assert report.execs_per_sec > 10
     assert report.harness_crashes == 0
@@ -389,7 +388,7 @@ def test_trial_rejected_slow():
         return FakeResult()
 
     report = trial_run(prog("SetByte(0, 0x41)"), b"zz", slow_runner, duration=0.3,
-                       thresholds=TrialThresholds(min_execs_per_sec=10))
+                       min_execs_per_sec=10)
     assert report.verdict == "rejected-slow"
 
 
@@ -421,7 +420,7 @@ def test_trial_counts_target_crashes_without_rejecting():
         return FakeResult("crash")
 
     report = trial_run(prog("SetByte(0, 0x41)"), b"zz", crashing_runner, duration=0.2,
-                       thresholds=TrialThresholds(min_execs_per_sec=10))
+                       min_execs_per_sec=10)
     assert report.verdict == "accepted"
     assert report.target_crashes == report.execs
 

@@ -375,7 +375,7 @@ def test_parse_template_sections(tmp_path):
     assert template.slot_names == ["context", "extra"]
     assert template.attachment_slots[0].prior_result
     assert not template.attachment_slots[1].prior_result
-    assert template.answer_schema.field("detail").required is False
+    assert template.answer_schema.fields[1].required is False
 
 
 def test_parse_template_errors():

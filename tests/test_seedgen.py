@@ -181,6 +181,16 @@ def test_materialize_script_without_engine(tmp_path):
         materialize(spec, tmp_path / "sb")
 
 
+def test_generator_script_sees_no_llm_settings(tmp_path, monkeypatch):
+    monkeypatch.setenv("RF_LLM_API_KEY", "secret-key")
+    spec = GeneratorSpec("script", "import os, sys\n"
+                         "sys.stderr.write('key=' + os.environ.get('RF_LLM_API_KEY', ''))\n"
+                         "sys.exit(1)\n")
+    with pytest.raises(MaterializeError) as failure:
+        materialize(spec, tmp_path / "sb")
+    assert str(failure.value).endswith("output: key=")
+
+
 def test_hexdump_shapes():
     dump = hexdump(b"P6\n2 2\n255\n\x00\x01")
     assert dump.startswith("00000000  50 36 0a")
@@ -275,12 +285,12 @@ def test_optimize_provenance_deterministic(catalog, ppm_graph, ppm_command,
     from reachfuzz.campaign import Executor
 
     def run_once(tag: str):
-        executor = Executor(ppm_graph, tmp_path / tag, 5.0, ppm_program_exec)
+        executor = Executor(ppm_graph, tmp_path / tag, ppm_command, 5.0, ppm_program_exec)
         engine = engine_from_rules(catalog, CHAIN_FIX)
         chain = callgraph.complete_chain(ppm_graph, ppm_graph.id_of("read_pixels"))
         return optimize_along_chain(
             Seed(b"P2\n2 2\n255\n", ppm_command), chain, ppm_graph,
-            lambda data: executor.run(ppm_command, data), engine, budget=30.0,
+            executor.run, engine, budget=30.0,
             definition_source=ppm_definitions, sandbox=tmp_path / tag / "sb")
 
     first, second = run_once("one"), run_once("two")
@@ -349,8 +359,8 @@ def test_functionality_fallback_hands_off_to_chain(catalog, ppm_command,
     assert callgraph.complete_chain(graph, target) is None
     from reachfuzz.campaign import Executor
 
-    executor = Executor(graph, tmp_path / "exec", 5.0, ppm_program_exec)
-    runner = lambda data: executor.run(ppm_command, data)  # noqa: E731
+    executor = Executor(graph, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
+    runner = executor.run
     engine = engine_from_rules(catalog, NEIGHBOR_FIX)
     outcome = optimize_by_functionality(
         Seed(b"P2\n", ppm_command), graph, target, runner, engine, budget=30.0,
@@ -376,8 +386,8 @@ def test_functionality_fallback_partial_when_probes_fail(catalog, ppm_command,
     target = graph.id_of("read_pixels")
     from reachfuzz.campaign import Executor
 
-    executor = Executor(graph, tmp_path / "exec", 5.0, ppm_program_exec)
-    runner = lambda data: executor.run(ppm_command, data)  # noqa: E731
+    executor = Executor(graph, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
+    runner = executor.run
     engine = engine_from_rules(catalog, (
         "execute the caller function",
         "KIND: literal\nCANDIDATE_1:\n```\nnot even close\n```",

@@ -381,7 +381,6 @@ class Campaign:
         self.stats = CampaignStats(random_only=program is None)
         self.events: list[dict] = []
         self.crash_by_hash: dict[str, CrashRecord] = {}
-        self.counters = mutator.MutationCounters()
         self.lock = threading.Lock()
         self.next_index = 0
         self.next_refresh = config.refresh_period
@@ -416,7 +415,6 @@ class Campaign:
                 self.error = self.error or exc
             for t in threads:
                 t.join()
-        self.stats.clamp_events = self.counters.clamp_events
         self.stats.wall_time = time.monotonic() - self.start
         if self.error is None:
             self.events.append({"event": "finish", "total_execs": self.stats.total_execs})
@@ -445,23 +443,29 @@ class Campaign:
 
     def _fuzz(self, rng: random.Random, executor: Executor):
         config = self.config
-        while True:
-            picked = self._pick(time.monotonic(), executor)
-            if picked is None:
-                return
-            parent, active = picked
-            use_program = active is not None and rng.random() < config.mix_ratio
-            if use_program:
-                data = mutator.apply(active, parent, rng, self.counters)
-            else:
-                data = random_mutate(parent, rng)
-            if not data:
-                continue  # degenerate mutation; next iteration re-seeds from the corpus
-            result = executor.run(data)
-            with self.lock:
-                if self.stop:
+        clamps = 0
+        try:
+            while True:
+                picked = self._pick(time.monotonic(), executor)
+                if picked is None:
                     return
-                self._record(result, data, use_program, time.monotonic() - self.start)
+                parent, active = picked
+                use_program = active is not None and rng.random() < config.mix_ratio
+                if use_program:
+                    data, clamped = mutator.apply(active, parent, rng)
+                    clamps += clamped
+                else:
+                    data = random_mutate(parent, rng)
+                if not data:
+                    continue  # degenerate mutation; next iteration re-seeds from the corpus
+                result = executor.run(data)
+                with self.lock:
+                    if self.stop:
+                        return
+                    self._record(result, data, use_program, time.monotonic() - self.start)
+        finally:  # every applied program's clamps count, on every exit
+            with self.lock:
+                self.stats.clamp_events += clamps
 
     def _pick(self, now: float, executor: Executor):
         """The next parent input and the active program, after running the

@@ -121,10 +121,9 @@ def load_config(path: str | Path) -> ProjectConfig:
     return config
 
 
-def build_client(config: ProjectConfig, fixture_override: Path | None = None) -> LlmClient:
-    fixture = fixture_override or config.fixture_file
-    if fixture is not None:
-        return scripted_client(fixture)
+def build_client(config: ProjectConfig) -> LlmClient:
+    if config.fixture_file is not None:
+        return scripted_client(config.fixture_file)
     if config.llm_backend == "remote":
         return LlmClient(RemoteBackend())
     raise ValueError("no fixture file configured and llm_backend is not 'remote'")
@@ -165,8 +164,8 @@ def _definition_source(config: ProjectConfig, graph: callgraph.CallGraph):
     return lookup
 
 
-def cmd_prepare(config: ProjectConfig, fixture_override: Path | None = None,
-                opt_budget: float | None = None, force: bool = False) -> int:
+def cmd_prepare(config: ProjectConfig, opt_budget: float | None = None,
+                force: bool = False) -> int:
     prepare_dir = config.work_dir / "prepare"
     bundle_path = prepare_dir / "bundle.json"
     if bundle_path.exists() and not force:
@@ -175,7 +174,7 @@ def cmd_prepare(config: ProjectConfig, fixture_override: Path | None = None,
     prepare_dir.mkdir(parents=True, exist_ok=True)
     opt_budget = opt_budget if opt_budget is not None else config.opt_budget
 
-    client = build_client(config, fixture_override)
+    client = build_client(config)
     engine = Engine(load_catalog(), client)
     clock = StageClock()
 
@@ -314,10 +313,9 @@ def _load_seeds(prepare_dir: Path, command: CommandLine) -> list[Seed]:
     return seeds
 
 
-def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
-             workers: int = 1, mix_ratio: float | None = None,
+def cmd_fuzz(config: ProjectConfig, duration: float | None = None, workers: int = 1,
              random_only: bool = False, rng_seed: int | None = None,
-             fixture_override: Path | None = None, stop_on_first: bool = True) -> int:
+             stop_on_first: bool = True) -> int:
     prepare_dir = config.work_dir / "prepare"
     bundle_path = prepare_dir / "bundle.json"
     if not bundle_path.exists():
@@ -351,7 +349,7 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
         except ReachFuzzError as exc:
             print(f"error: invalid mutator file {program_path}: {exc}", file=sys.stderr)
             return EXIT_STAGE_FAILURE
-        rebuild = _build_rebuild(config, prepare_dir, seeds, fixture_override)
+        rebuild = _build_rebuild(config, prepare_dir, seeds)
         strategies_path = mutator_dir / "strategies.json"
         if rebuild is not None and strategies_path.exists():
             strategies = [mutator.MutationStrategy(**s)
@@ -365,7 +363,7 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
         duration_limit=duration if duration is not None else config.campaign_duration,
         exec_timeout=config.exec_timeout,
         rng_seed=rng_seed if rng_seed is not None else config.rng_seed,
-        mix_ratio=mix_ratio if mix_ratio is not None else config.mix_ratio,
+        mix_ratio=config.mix_ratio,
         refresh_period=config.refresh_period,
         stop_on_first=stop_on_first,
         workers=workers,
@@ -379,14 +377,13 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None,
     return EXIT_OK if stats.found_target_crash else EXIT_TIMEOUT_NO_BUG
 
 
-def _build_rebuild(config: ProjectConfig, prepare_dir: Path, seeds: list[Seed],
-                   fixture_override: Path | None):
+def _build_rebuild(config: ProjectConfig, prepare_dir: Path, seeds: list[Seed]):
     """The campaign's refresh source: a ``rebuild(prior, runner)`` that queries
     the backend for a new mutator, or None when there is no backend or no
     bug analysis, so that a refresh re-issues the current program."""
     analysis_path = prepare_dir / "analysis.json"
     try:
-        client = build_client(config, fixture_override)
+        client = build_client(config)
     except ValueError:
         log.warning("no query backend available; mutator refresh disabled")
         return None
@@ -426,17 +423,13 @@ def main(argv: list[str] | None = None) -> int:
 
     p_prepare = sub.add_parser("prepare", help="run the four preparation stages")
     p_prepare.add_argument("--config", required=True, type=Path)
-    p_prepare.add_argument("--fixture", type=Path, default=None,
-                           help="force the scripted backend with this fixture file")
     p_prepare.add_argument("--opt-budget", type=parse_duration, default=None)
     p_prepare.add_argument("--force", action="store_true")
 
     p_fuzz = sub.add_parser("fuzz", help="run the directed campaign")
     p_fuzz.add_argument("--config", required=True, type=Path)
-    p_fuzz.add_argument("--fixture", type=Path, default=None)
     p_fuzz.add_argument("--duration", type=parse_duration, default=None)
     p_fuzz.add_argument("--workers", type=int, default=1)
-    p_fuzz.add_argument("--mix-ratio", type=float, default=None)
     p_fuzz.add_argument("--random-only", action="store_true")
     p_fuzz.add_argument("--rng-seed", type=int, default=None)
     p_fuzz.add_argument("--keep-going", action="store_true",
@@ -455,13 +448,11 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "prepare":
             config = load_config(args.config)
-            return cmd_prepare(config, fixture_override=args.fixture,
-                               opt_budget=args.opt_budget, force=args.force)
+            return cmd_prepare(config, opt_budget=args.opt_budget, force=args.force)
         if args.command == "fuzz":
             config = load_config(args.config)
             return cmd_fuzz(config, duration=args.duration, workers=args.workers,
-                            mix_ratio=args.mix_ratio, random_only=args.random_only,
-                            rng_seed=args.rng_seed, fixture_override=args.fixture,
+                            random_only=args.random_only, rng_seed=args.rng_seed,
                             stop_on_first=not args.keep_going)
         return cmd_report(args.dir)
     except (ReachFuzzError, ValueError, OSError) as exc:

@@ -12,7 +12,8 @@ import logging
 import random
 import re
 import time
-from dataclasses import dataclass, field
+import typing
+from dataclasses import dataclass, field, fields
 
 from .errors import DslError, TaskError
 from .query_engine import Engine
@@ -93,11 +94,32 @@ class Expr:
 
 
 # --- operations -------------------------------------------------------------
+#
+# Each operation is declared once, as a frozen dataclass whose fields are its
+# arguments in source order. ``apply`` edits the buffer in place and returns
+# how many offsets or lengths it clamped: out-of-range positions clamp to the
+# valid range (counted, never an error) so programs written against one input
+# shape stay usable on another.
+
+def _clamp(value: int, lo: int, hi: int) -> tuple[int, int]:
+    """``value`` limited to ``[lo, hi]``, and 1 if that moved it, else 0."""
+    if lo <= value <= hi:
+        return value, 0
+    return min(max(value, lo), hi), 1
+
 
 @dataclass(frozen=True)
 class FlipBit:
     offset: Expr
     bit: int
+
+    def apply(self, buf: bytearray, rng: random.Random) -> int:
+        off = self.offset.resolve(len(buf), rng)
+        if not buf:
+            return 1
+        off, clamps = _clamp(off, 0, len(buf) - 1)
+        buf[off] ^= 1 << self.bit
+        return clamps
 
 
 @dataclass(frozen=True)
@@ -105,11 +127,24 @@ class SetByte:
     offset: Expr
     value: int
 
+    def apply(self, buf: bytearray, rng: random.Random) -> int:
+        off = self.offset.resolve(len(buf), rng)
+        if not buf:
+            return 1
+        off, clamps = _clamp(off, 0, len(buf) - 1)
+        buf[off] = self.value
+        return clamps
+
 
 @dataclass(frozen=True)
 class InsertBytes:
     offset: Expr
     data: bytes
+
+    def apply(self, buf: bytearray, rng: random.Random) -> int:
+        off, clamps = _clamp(self.offset.resolve(len(buf), rng), 0, len(buf))
+        buf[off:off] = self.data
+        return clamps
 
 
 @dataclass(frozen=True)
@@ -117,11 +152,25 @@ class DeleteRange:
     offset: Expr
     length: Expr
 
+    def apply(self, buf: bytearray, rng: random.Random) -> int:
+        off = self.offset.resolve(len(buf), rng)
+        n = self.length.resolve(len(buf), rng)
+        off, clamps = _clamp(off, 0, len(buf))
+        n, more = _clamp(n, 0, len(buf) - off)
+        del buf[off:off + n]
+        return clamps + more
+
 
 @dataclass(frozen=True)
 class Overwrite:
     offset: Expr
     data: bytes
+
+    def apply(self, buf: bytearray, rng: random.Random) -> int:
+        off, clamps = _clamp(self.offset.resolve(len(buf), rng), 0, len(buf))
+        writable = min(len(self.data), len(buf) - off)
+        buf[off:off + writable] = self.data[:writable]
+        return clamps + (writable < len(self.data))
 
 
 @dataclass(frozen=True)
@@ -130,11 +179,29 @@ class AddToLE:
     width: int
     delta: int
 
+    def apply(self, buf: bytearray, rng: random.Random) -> int:
+        off = self.offset.resolve(len(buf), rng)
+        if len(buf) < self.width:
+            return 1
+        off, clamps = _clamp(off, 0, len(buf) - self.width)
+        end = off + self.width
+        value = (int.from_bytes(buf[off:end], "little") + self.delta) % (1 << (8 * self.width))
+        buf[off:end] = value.to_bytes(self.width, "little")
+        return clamps
+
 
 @dataclass(frozen=True)
 class ResizeTo:
     length: Expr
     fill: int
+
+    def apply(self, buf: bytearray, rng: random.Random) -> int:
+        n = self.length.resolve(len(buf), rng)
+        if n <= len(buf):
+            del buf[max(n, 0):]
+        else:
+            buf.extend(bytes([self.fill]) * (n - len(buf)))
+        return int(n < 0)
 
 
 @dataclass(frozen=True)
@@ -142,6 +209,13 @@ class CopyRegion:
     src: Expr
     dst: Expr
     length: Expr
+
+    def apply(self, buf: bytearray, rng: random.Random) -> int:
+        src, clamps = _clamp(self.src.resolve(len(buf), rng), 0, len(buf))
+        dst, more = _clamp(self.dst.resolve(len(buf), rng), 0, len(buf))
+        n, most = _clamp(self.length.resolve(len(buf), rng), 0, len(buf) - max(src, dst))
+        buf[dst:dst + n] = buf[src:src + n]
+        return clamps + more + most
 
 
 Op = FlipBit | SetByte | InsertBytes | DeleteRange | Overwrite | AddToLE | ResizeTo | CopyRegion
@@ -159,22 +233,14 @@ class MutationProgram:
         return "\n".join(_render_op(op) for op in self.ops)
 
 
-def _render_op(op: Op) -> str:
-    if isinstance(op, FlipBit):
-        return f"FlipBit({op.offset.render()}, {op.bit})"
-    if isinstance(op, SetByte):
-        return f"SetByte({op.offset.render()}, {op.value:#04x})"
-    if isinstance(op, InsertBytes):
-        return f"InsertBytes({op.offset.render()}, {op.data.hex().upper()})"
-    if isinstance(op, DeleteRange):
-        return f"DeleteRange({op.offset.render()}, {op.length.render()})"
-    if isinstance(op, Overwrite):
-        return f"Overwrite({op.offset.render()}, {op.data.hex().upper()})"
-    if isinstance(op, AddToLE):
-        return f"AddToLE({op.offset.render()}, {op.width}, {op.delta:+d})"
-    if isinstance(op, ResizeTo):
-        return f"ResizeTo({op.length.render()}, {op.fill:#04x})"
-    return f"CopyRegion({op.src.render()}, {op.dst.render()}, {op.length.render()})"
+def apply(program: MutationProgram, data: bytes, rng: random.Random) -> tuple[bytes, int]:
+    """Run every op in order on a working copy of the input; returns the
+    output and the number of offsets and lengths the ops clamped."""
+    buf = bytearray(data)
+    clamps = 0
+    for op in program.ops:
+        clamps += op.apply(buf, rng)
+    return bytes(buf), clamps
 
 
 # --- concrete syntax ---------------------------------------------------------
@@ -259,129 +325,48 @@ def parse_program(text: str) -> MutationProgram:
     return MutationProgram(ops=ops)
 
 
+def _ranged(allowed, message: str):
+    def parse(token: str, where: str) -> int:
+        value = _parse_int(token, where)
+        if value not in allowed:
+            raise DslError(f"{where}: {message}")
+        return value
+    return parse
+
+
+_EXPR = (_parse_expr, Expr.render)
+_BYTE = "{:#04x}".format
+# Every argument kind, keyed by the field names the operations use:
+# (parse(token, where), render(value)).
+_ARGS = {
+    "offset": _EXPR, "length": _EXPR, "src": _EXPR, "dst": _EXPR,
+    "data": (_parse_hex, lambda data: data.hex().upper()),
+    "bit": (_ranged(range(8), "bit index must be 0..7"), str),
+    "value": (_ranged(range(256), "byte value must be 0..255"), _BYTE),
+    "fill": (_ranged(range(256), "fill byte must be 0..255"), _BYTE),
+    "width": (_ranged(LE_WIDTHS, f"width must be one of {LE_WIDTHS}"), str),
+    "delta": (_parse_int, "{:+d}".format),
+}
+# Range-checked constants are parsed before the other arguments, so of several
+# bad arguments a constant's error is the one reported.
+_CHECKED_FIRST = ("bit", "value", "fill", "width")
+_OPS = {op.__name__: op for op in typing.get_args(Op)}
+
+
 def _build_op(name: str, args: list[str], where: str) -> Op:
-    def arity(n: int):
-        if len(args) != n:
-            raise DslError(f"{where}: {name} takes {n} arguments, got {len(args)}")
-
-    if name == "FlipBit":
-        arity(2)
-        bit = _parse_int(args[1], where)
-        if not 0 <= bit <= 7:
-            raise DslError(f"{where}: bit index must be 0..7")
-        return FlipBit(_parse_expr(args[0], where), bit)
-    if name == "SetByte":
-        arity(2)
-        value = _parse_int(args[1], where)
-        if not 0 <= value <= 255:
-            raise DslError(f"{where}: byte value must be 0..255")
-        return SetByte(_parse_expr(args[0], where), value)
-    if name == "InsertBytes":
-        arity(2)
-        return InsertBytes(_parse_expr(args[0], where), _parse_hex(args[1], where))
-    if name == "DeleteRange":
-        arity(2)
-        return DeleteRange(_parse_expr(args[0], where), _parse_expr(args[1], where))
-    if name == "Overwrite":
-        arity(2)
-        return Overwrite(_parse_expr(args[0], where), _parse_hex(args[1], where))
-    if name == "AddToLE":
-        arity(3)
-        width = _parse_int(args[1], where)
-        if width not in LE_WIDTHS:
-            raise DslError(f"{where}: width must be one of {LE_WIDTHS}")
-        return AddToLE(_parse_expr(args[0], where), width, _parse_int(args[2], where))
-    if name == "ResizeTo":
-        arity(2)
-        fill = _parse_int(args[1], where)
-        if not 0 <= fill <= 255:
-            raise DslError(f"{where}: fill byte must be 0..255")
-        return ResizeTo(_parse_expr(args[0], where), fill)
-    if name == "CopyRegion":
-        arity(3)
-        return CopyRegion(_parse_expr(args[0], where), _parse_expr(args[1], where),
-                          _parse_expr(args[2], where))
-    raise DslError(f"{where}: unknown operation {name!r}")
+    op = _OPS.get(name)
+    if op is None:
+        raise DslError(f"{where}: unknown operation {name!r}")
+    names = [f.name for f in fields(op)]
+    if len(args) != len(names):
+        raise DslError(f"{where}: {name} takes {len(names)} arguments, got {len(args)}")
+    pairs = sorted(zip(names, args), key=lambda pair: pair[0] not in _CHECKED_FIRST)
+    return op(**{key: _ARGS[key][0](token, where) for key, token in pairs})
 
 
-# --- interpreter -------------------------------------------------------------
-
-@dataclass
-class MutationCounters:
-    clamp_events: int = 0
-
-
-def _clamp(value: int, lo: int, hi: int, counters: MutationCounters | None) -> int:
-    if value < lo or value > hi:
-        if counters is not None:
-            counters.clamp_events += 1
-        return min(max(value, lo), hi)
-    return value
-
-
-def apply(program: MutationProgram, data: bytes, rng: random.Random,
-          counters: MutationCounters | None = None) -> bytes:
-    """Run every op in order on a working copy of the input.
-
-    Out-of-range offsets clamp to the valid range (counted, never an error)
-    so programs written against one input shape stay usable on another.
-    """
-    buf = bytearray(data)
-    for op in program.ops:
-        if isinstance(op, FlipBit):
-            off = op.offset.resolve(len(buf), rng)
-            if buf:
-                buf[_clamp(off, 0, len(buf) - 1, counters)] ^= 1 << op.bit
-            elif counters is not None:
-                counters.clamp_events += 1
-        elif isinstance(op, SetByte):
-            off = op.offset.resolve(len(buf), rng)
-            if buf:
-                buf[_clamp(off, 0, len(buf) - 1, counters)] = op.value
-            elif counters is not None:
-                counters.clamp_events += 1
-        elif isinstance(op, InsertBytes):
-            off = _clamp(op.offset.resolve(len(buf), rng), 0, len(buf), counters)
-            buf[off:off] = op.data
-        elif isinstance(op, DeleteRange):
-            off = op.offset.resolve(len(buf), rng)
-            n = op.length.resolve(len(buf), rng)
-            off = _clamp(off, 0, len(buf), counters)
-            n = _clamp(n, 0, len(buf) - off, counters)
-            del buf[off:off + n]
-        elif isinstance(op, Overwrite):
-            off = _clamp(op.offset.resolve(len(buf), rng), 0, len(buf), counters)
-            writable = min(len(op.data), len(buf) - off)
-            if writable < len(op.data) and counters is not None:
-                counters.clamp_events += 1
-            buf[off:off + writable] = op.data[:writable]
-        elif isinstance(op, AddToLE):
-            off = op.offset.resolve(len(buf), rng)
-            if len(buf) >= op.width:
-                off = _clamp(off, 0, len(buf) - op.width, counters)
-                value = int.from_bytes(buf[off:off + op.width], "little")
-                value = (value + op.delta) % (1 << (8 * op.width))
-                buf[off:off + op.width] = value.to_bytes(op.width, "little")
-            elif counters is not None:
-                counters.clamp_events += 1
-        elif isinstance(op, ResizeTo):
-            n = op.length.resolve(len(buf), rng)
-            if n < 0:
-                if counters is not None:
-                    counters.clamp_events += 1
-                n = 0
-            if n <= len(buf):
-                del buf[n:]
-            else:
-                buf.extend(bytes([op.fill]) * (n - len(buf)))
-        elif isinstance(op, CopyRegion):
-            src = _clamp(op.src.resolve(len(buf), rng), 0, len(buf), counters)
-            dst = _clamp(op.dst.resolve(len(buf), rng), 0, len(buf), counters)
-            n = op.length.resolve(len(buf), rng)
-            n = _clamp(n, 0, min(len(buf) - src, len(buf) - dst), counters)
-            chunk = bytes(buf[src:src + n])
-            buf[dst:dst + n] = chunk
-    return bytes(buf)
+def _render_op(op: Op) -> str:
+    args = (_ARGS[f.name][1](getattr(op, f.name)) for f in fields(op))
+    return f"{type(op).__name__}({', '.join(args)})"
 
 
 # --- trial run ---------------------------------------------------------------
@@ -418,7 +403,7 @@ def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
     produced_change = False
     while time.monotonic() - start < duration:
         try:
-            data = apply(program, seed_bytes, rng)
+            data, _ = apply(program, seed_bytes, rng)
         except Exception as exc:  # noqa: BLE001 - harness instability is the point
             log.warning("harness fault during trial: %s", exc)
             harness_crashes += 1
@@ -627,9 +612,7 @@ def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runn
         if report.accepted:
             return MutatorBuild(program, report, strategies, attempt, rejected)
         rejected.append((program, report))
-        feedback = (
-            f"The previous program was rejected ({report.verdict}, "
-            f"{report.execs_per_sec:.1f} execs/sec). Generate a replacement mutator."
-        )
+        feedback = (f"The previous program was rejected ({report.verdict}). "
+                    "Generate a replacement mutator.")
     log.warning("all synthesized mutators were rejected; falling back to random-only mutation")
     return MutatorBuild(None, None, strategies, MAX_REGENERATIONS, rejected)

@@ -1,16 +1,17 @@
 from __future__ import annotations
 
+import random
 import sys
 import textwrap
 from pathlib import Path
 
 import pytest
 
-from reachfuzz import campaign, demo
+from reachfuzz import campaign, demo, mutator
 from reachfuzz.callgraph import CallGraph, FunctionNode
 from reachfuzz.errors import ReachFuzzError
 from reachfuzz.llm_client import FixtureRule, LlmClient, ScriptedBackend, ScriptedFixture
-from reachfuzz.mutator import InsertBytes, MutationProgram, ResizeTo
+from reachfuzz.mutator import Expr, InsertBytes, MutationProgram, ResizeTo
 from reachfuzz.query_engine import AnswerSchema, Engine, load_catalog
 from reachfuzz.seedgen import CommandLine
 from reachfuzz.toys import toy_path
@@ -126,6 +127,40 @@ def declared_growth(program: MutationProgram) -> int:
             # an absolute length, or the upper end of a random one
             growth += max(0, op.length.a if op.length.kind == "abs" else op.length.b)
     return growth
+
+
+def random_program(rng: random.Random) -> MutationProgram:
+    """Up to six random operations of every kind. The golden mutation-sweep
+    digest depends on the exact sequence of draws made here."""
+    ops = []
+    for _ in range(rng.randint(1, 6)):
+        kind = rng.randrange(8)
+        def expr():
+            choice = rng.randrange(3)
+            if choice == 0:
+                return Expr("abs", rng.randint(0, 64))
+            if choice == 1:
+                return Expr("end", rng.randint(0, 16))
+            lo = rng.randint(0, 32)
+            return Expr("rand", lo, lo + rng.randint(0, 32))
+        if kind == 0:
+            ops.append(mutator.FlipBit(expr(), rng.randint(0, 7)))
+        elif kind == 1:
+            ops.append(mutator.SetByte(expr(), rng.randint(0, 255)))
+        elif kind == 2:
+            ops.append(mutator.InsertBytes(expr(), rng.randbytes(rng.randint(1, 64))))
+        elif kind == 3:
+            ops.append(mutator.DeleteRange(expr(), expr()))
+        elif kind == 4:
+            ops.append(mutator.Overwrite(expr(), rng.randbytes(rng.randint(1, 16))))
+        elif kind == 5:
+            ops.append(mutator.AddToLE(expr(), rng.choice((1, 2, 4, 8)),
+                                       rng.randint(-(2 ** 16), 2 ** 16)))
+        elif kind == 6:
+            ops.append(mutator.ResizeTo(Expr("abs", rng.randint(0, 4096)), rng.randint(0, 255)))
+        else:
+            ops.append(mutator.CopyRegion(expr(), expr(), expr()))
+    return MutationProgram(ops=ops)
 
 
 def format_answer(schema: AnswerSchema, values: dict[str, str | list[str]]) -> str:

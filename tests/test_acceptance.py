@@ -3,6 +3,7 @@ tolerance and prints one pass line; a pytest failure is the fail line."""
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import random
@@ -13,7 +14,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PPM_SEED, declared_growth, engine_from_rules, make_graph
+from conftest import PPM_SEED, declared_growth, engine_from_rules, make_graph, random_program
 from reachfuzz import callgraph, campaign, cli, demo, mutator
 from reachfuzz.callgraph import CallChain, TraceObservation
 from reachfuzz.campaign import CampaignConfig, CampaignStats, StageTiming
@@ -316,50 +317,31 @@ def test_refresh_event_bound(prepared, tmp_path):
 
 # --- 10. mutation purity sweep ---------------------------------------------------------
 
-def random_program(rng: random.Random) -> mutator.MutationProgram:
-    from reachfuzz.mutator import Expr
-
-    def expr():
-        choice = rng.randrange(3)
-        if choice == 0:
-            return Expr("abs", rng.randint(0, 64))
-        if choice == 1:
-            return Expr("end", rng.randint(0, 16))
-        lo = rng.randint(0, 32)
-        return Expr("rand", lo, lo + rng.randint(0, 32))
-
-    ops = []
-    for _ in range(rng.randint(1, 6)):
-        kind = rng.randrange(8)
-        if kind == 0:
-            ops.append(mutator.FlipBit(expr(), rng.randint(0, 7)))
-        elif kind == 1:
-            ops.append(mutator.SetByte(expr(), rng.randint(0, 255)))
-        elif kind == 2:
-            ops.append(mutator.InsertBytes(expr(), rng.randbytes(rng.randint(1, 64))))
-        elif kind == 3:
-            ops.append(mutator.DeleteRange(expr(), expr()))
-        elif kind == 4:
-            ops.append(mutator.Overwrite(expr(), rng.randbytes(rng.randint(1, 16))))
-        elif kind == 5:
-            ops.append(mutator.AddToLE(expr(), rng.choice((1, 2, 4, 8)),
-                                       rng.randint(-(2 ** 16), 2 ** 16)))
-        elif kind == 6:
-            ops.append(mutator.ResizeTo(Expr("abs", rng.randint(0, 4096)),
-                                        rng.randint(0, 255)))
-        else:
-            ops.append(mutator.CopyRegion(expr(), expr(), expr()))
-    return mutator.MutationProgram(ops=ops)
-
-
-def test_mutation_purity_sweep():
+def sweep_cases():
+    """The sweep's 10^4 random programs, each with an input and a stream seed."""
     rng = random.Random(31337)
     for _ in range(10_000):
         program = random_program(rng)
         data = rng.randbytes(rng.randint(0, 256))
-        stream_seed = rng.randrange(2 ** 63)
+        yield program, data, rng.randrange(2 ** 63)
+
+
+def test_mutation_purity_sweep():
+    for program, data, stream_seed in sweep_cases():
         first = mutator.apply(program, data, random.Random(stream_seed))
         second = mutator.apply(program, data, random.Random(stream_seed))
         assert first == second, "replaying the stream must reproduce the mutation"
-        assert len(first) <= len(data) + declared_growth(program)
+        assert len(first[0]) <= len(data) + declared_growth(program)
     ok("10^4 random programs replay byte-identically within declared growth bounds")
+
+
+def test_mutation_sweep_matches_golden_digest():
+    # pins each sweep program's output, clamp count and rendered text
+    digest = hashlib.sha256()
+    for program, data, stream_seed in sweep_cases():
+        output, clamps = mutator.apply(program, data, random.Random(stream_seed))
+        for part in (output, str(clamps).encode(), program.render().encode()):
+            digest.update(len(part).to_bytes(8, "little"))
+            digest.update(part)
+    assert digest.hexdigest() == (GOLDEN / "mutation_sweep.sha256").read_text().strip()
+    ok("10^4 random programs give the pinned outputs, clamp counts and text")

@@ -476,6 +476,23 @@ def test_run_records_each_crash_input_once(tmp_path, ppm_graph, ppm_command):
     assert max(c.count for c in stats.crashes) > 1
 
 
+def test_run_counts_the_clamps_of_every_worker(tmp_path, ppm_graph, ppm_command):
+    # every exec runs the program, whose one offset is always out of range; more
+    # workers than cores and a short switch interval would expose a lost update
+    config = ppm_campaign_config(ppm_command, duration_limit=0.5, stop_on_first=False,
+                                 mix_ratio=1.0, workers=4)
+    program = mutator.parse_program("SetByte(99999, 0x41)")
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        stats = campaign.run(config, program, ppm_graph, tmp_path / "c")
+    finally:
+        sys.setswitchinterval(interval)
+    assert stats.total_execs > 0
+    assert stats.clamp_events == stats.total_execs
+    assert campaign.load_stats(tmp_path / "c" / "stats.json").clamp_events == stats.clamp_events
+
+
 def test_run_reproducible_events_and_stats(tmp_path, ppm_graph, ppm_command):
     program = mutator.parse_program(CRASH_PROGRAM)
     runs = []

@@ -5,14 +5,13 @@ import time
 
 import pytest
 
-from conftest import HarnessFault, declared_growth, dedent, engine_from_rules
-from reachfuzz import mutator
+from conftest import HarnessFault, declared_growth, dedent, engine_from_rules, random_program
+from reachfuzz import llm_client, mutator
 from reachfuzz.errors import DslError, TaskError
 from reachfuzz.knowledge import BugInfo, FunctionSummary
 from reachfuzz.mutator import (
     BugAnalysis,
     Expr,
-    MutationCounters,
     MutationProgram,
     MutationStrategy,
     SetByte,
@@ -72,6 +71,18 @@ def test_parse_errors(bad, message):
         parse_program(bad)
 
 
+@pytest.mark.parametrize("bad, message", [
+    ("FlipBit(zzz, 9)", "bit index"),
+    ("SetByte(zzz, 300)", "byte value"),
+    ("AddToLE(zzz, 3, zzz)", "width"),
+    ("ResizeTo(zzz, 256)", "fill byte"),
+    ("AddToLE(zzz, 4, zzz)", "expression"),
+])
+def test_parse_reports_a_bad_constant_before_other_arguments(bad, message):
+    with pytest.raises(DslError, match=message):
+        parse_program(bad)
+
+
 def test_render_parse_round_trip():
     text = dedent("""
         FlipBit(3, 1)
@@ -100,56 +111,49 @@ def rng0() -> random.Random:
 
 
 def test_flip_bit():
-    assert apply(prog("FlipBit(0, 0)"), b"\x00", rng0()) == b"\x01"
+    assert apply(prog("FlipBit(0, 0)"), b"\x00", rng0()) == (b"\x01", 0)
 
 
 def test_add_to_le():
-    assert apply(prog("AddToLE(0, 4, +1)"), b"\x01\x00\x00\x00", rng0()) == b"\x02\x00\x00\x00"
+    assert apply(prog("AddToLE(0, 4, +1)"), b"\x01\x00\x00\x00", rng0()) == (
+        b"\x02\x00\x00\x00", 0)
 
 
 def test_add_to_le_wraps():
-    assert apply(prog("AddToLE(0, 2, +1)"), b"\xff\xff", rng0()) == b"\x00\x00"
+    assert apply(prog("AddToLE(0, 2, +1)"), b"\xff\xff", rng0()) == (b"\x00\x00", 0)
 
 
 def test_set_insert_delete_overwrite():
-    assert apply(prog("SetByte(1, 0xaa)"), b"\x00\x00", rng0()) == b"\x00\xaa"
-    assert apply(prog("InsertBytes(1, BBCC)"), b"\x00\x00", rng0()) == b"\x00\xbb\xcc\x00"
-    assert apply(prog("DeleteRange(1, 2)"), b"\x00\x11\x22\x33", rng0()) == b"\x00\x33"
-    assert apply(prog("Overwrite(1, AABB)"), b"\x00\x00\x00\x00", rng0()) == b"\x00\xaa\xbb\x00"
+    assert apply(prog("SetByte(1, 0xaa)"), b"\x00\x00", rng0()) == (b"\x00\xaa", 0)
+    assert apply(prog("InsertBytes(1, BBCC)"), b"\x00\x00", rng0()) == (b"\x00\xbb\xcc\x00", 0)
+    assert apply(prog("DeleteRange(1, 2)"), b"\x00\x11\x22\x33", rng0()) == (b"\x00\x33", 0)
+    assert apply(prog("Overwrite(1, AABB)"), b"\x00\x00\x00\x00", rng0()) == (
+        b"\x00\xaa\xbb\x00", 0)
 
 
 def test_resize_and_copy():
-    assert apply(prog("ResizeTo(4, 0x2e)"), b"ab", rng0()) == b"ab.."
-    assert apply(prog("ResizeTo(1, 0x00)"), b"abcd", rng0()) == b"a"
-    assert apply(prog("CopyRegion(0, 2, 2)"), b"abcd", rng0()) == b"abab"
+    assert apply(prog("ResizeTo(4, 0x2e)"), b"ab", rng0()) == (b"ab..", 0)
+    assert apply(prog("ResizeTo(1, 0x00)"), b"abcd", rng0()) == (b"a", 0)
+    assert apply(prog("CopyRegion(0, 2, 2)"), b"abcd", rng0()) == (b"abab", 0)
 
 
 def test_end_relative_addressing():
-    assert apply(prog("SetByte(end-1, 0x21)"), b"hello", rng0()) == b"hell!"
-    assert apply(prog("DeleteRange(end-2, 2)"), b"hello", rng0()) == b"hel"
+    assert apply(prog("SetByte(end-1, 0x21)"), b"hello", rng0()) == (b"hell!", 0)
+    assert apply(prog("DeleteRange(end-2, 2)"), b"hello", rng0()) == (b"hel", 0)
 
 
 def test_offsets_clamp_and_are_counted():
-    counters = MutationCounters()
-    out = apply(prog("SetByte(100, 0x41)"), b"ab", rng0(), counters)
-    assert out == b"aA"
-    assert counters.clamp_events == 1
-    counters = MutationCounters()
-    out = apply(prog("Overwrite(1, AABBCC)"), b"xy", rng0(), counters)
-    assert out == b"x\xaa"  # write truncated at the buffer end
-    assert counters.clamp_events == 1
+    assert apply(prog("SetByte(100, 0x41)"), b"ab", rng0()) == (b"aA", 1)
+    # the write is truncated at the buffer end
+    assert apply(prog("Overwrite(1, AABBCC)"), b"xy", rng0()) == (b"x\xaa", 1)
 
 
 def test_ops_on_empty_input_skip_with_clamp():
-    counters = MutationCounters()
-    assert apply(prog("FlipBit(0, 0)\nAddToLE(0, 4, 1)"), b"", rng0(), counters) == b""
-    assert counters.clamp_events == 2
+    assert apply(prog("FlipBit(0, 0)\nAddToLE(0, 4, 1)"), b"", rng0()) == (b"", 2)
 
 
 def test_negative_resize_target_clamps_to_empty():
-    counters = MutationCounters()
-    assert apply(prog("ResizeTo(end-9, 0x00)"), b"abc", rng0(), counters) == b""
-    assert counters.clamp_events == 1
+    assert apply(prog("ResizeTo(end-9, 0x00)"), b"abc", rng0()) == (b"", 1)
 
 
 def test_rand_consumes_stream_deterministically():
@@ -159,50 +163,6 @@ def test_rand_consumes_stream_deterministically():
     c = apply(program, b"\x00" * 8, random.Random(43))
     assert a == b
     assert a != c  # different stream, different positions
-
-
-def random_program(rng: random.Random) -> MutationProgram:
-    ops = []
-    for _ in range(rng.randint(1, 6)):
-        kind = rng.randrange(8)
-        def expr():
-            choice = rng.randrange(3)
-            if choice == 0:
-                return Expr("abs", rng.randint(0, 64))
-            if choice == 1:
-                return Expr("end", rng.randint(0, 16))
-            lo = rng.randint(0, 32)
-            return Expr("rand", lo, lo + rng.randint(0, 32))
-        if kind == 0:
-            ops.append(mutator.FlipBit(expr(), rng.randint(0, 7)))
-        elif kind == 1:
-            ops.append(mutator.SetByte(expr(), rng.randint(0, 255)))
-        elif kind == 2:
-            ops.append(mutator.InsertBytes(expr(), rng.randbytes(rng.randint(1, 64))))
-        elif kind == 3:
-            ops.append(mutator.DeleteRange(expr(), expr()))
-        elif kind == 4:
-            ops.append(mutator.Overwrite(expr(), rng.randbytes(rng.randint(1, 16))))
-        elif kind == 5:
-            ops.append(mutator.AddToLE(expr(), rng.choice((1, 2, 4, 8)),
-                                       rng.randint(-(2 ** 16), 2 ** 16)))
-        elif kind == 6:
-            ops.append(mutator.ResizeTo(Expr("abs", rng.randint(0, 4096)), rng.randint(0, 255)))
-        else:
-            ops.append(mutator.CopyRegion(expr(), expr(), expr()))
-    return MutationProgram(ops=ops)
-
-
-def test_purity_and_growth_sweep_smoke():
-    rng = random.Random(99)
-    for _ in range(500):
-        program = random_program(rng)
-        data = rng.randbytes(rng.randint(0, 128))
-        seed = rng.randrange(2 ** 32)
-        first = apply(program, data, random.Random(seed))
-        second = apply(program, data, random.Random(seed))
-        assert first == second
-        assert len(first) <= len(data) + declared_growth(program)
 
 
 def test_render_parse_round_trip_on_random_programs():
@@ -456,3 +416,33 @@ def test_build_mutator_regeneration_bound(catalog):
     assert len(build.rejected) == 4  # initial attempt plus three regenerations
     synth_requests = engine.client.accounting().total_requests - 1  # minus strategies
     assert synth_requests == 4
+
+
+def test_regeneration_prompts_do_not_depend_on_host_speed(catalog, monkeypatch):
+    # the same no-op program is rejected on a fast and on a slow runner; the
+    # prompts sent after each rejection must be the same bytes
+    prompts: list[str] = []
+    complete = llm_client.ScriptedBackend.complete
+
+    def recording(self, request):
+        prompts.append(request.prompt_text)
+        return complete(self, request)
+
+    def slow_runner(data):
+        time.sleep(0.001)
+        return FakeResult()
+
+    monkeypatch.setattr(llm_client.ScriptedBackend, "complete", recording)
+    sent = []
+    for runner in (fast_runner, slow_runner):
+        engine = engine_from_rules(
+            catalog,
+            ("Generate fuzzing mutation strategies", STRATEGY_RESPONSE),
+            ("Translate the mutation strategies", "PROGRAM:\n```\nSetByte(0, 0x7a)\n```"),
+        )
+        build = build_mutator(analysis(), engine, b"zz", runner, trial_duration=0.1)
+        assert not build.accepted
+        sent.append(prompts[:])
+        prompts.clear()
+    assert len(sent[0]) == 5  # strategies, then four synthesis requests
+    assert sent[0] == sent[1]

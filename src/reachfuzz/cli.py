@@ -58,7 +58,6 @@ class ProjectConfig:
     bug_report_file: Path
     work_dir: Path
     fixture_file: Path | None = None
-    llm_backend: str = "scripted"
     program_exec: str = ""
     opt_budget: float = seedgen.DEFAULT_OPT_BUDGET
     trial_duration: float = mutator.DEFAULT_TRIAL_DURATION
@@ -104,7 +103,7 @@ def load_config(path: str | Path) -> ProjectConfig:
             kwargs[key] = int(value)
         elif key == "min_execs_per_sec":
             kwargs[key] = float(value)
-        elif key in ("llm_backend", "program_exec"):
+        elif key == "program_exec":
             kwargs[key] = value
         else:
             raise ValueError(f"{path}: unknown config key {key!r}")
@@ -122,11 +121,11 @@ def load_config(path: str | Path) -> ProjectConfig:
 
 
 def build_client(config: ProjectConfig) -> LlmClient:
+    """The scripted backend when a fixture file is set, else the remote one,
+    whose ``ValueError`` tells a missing endpoint."""
     if config.fixture_file is not None:
         return scripted_client(config.fixture_file)
-    if config.llm_backend == "remote":
-        return LlmClient(RemoteBackend())
-    raise ValueError("no fixture file configured and llm_backend is not 'remote'")
+    return LlmClient(RemoteBackend())
 
 
 class StageClock:
@@ -254,8 +253,7 @@ def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
                opt_budget: float, command: CommandLine, summaries: SummaryCache,
                runner) -> seedgen.OptimizationOutcome:
     definition_source = summaries.definition_source
-    spec = seedgen.generate_preliminary(command, bug, engine,
-                                        input_expectations=command.description)
+    spec = seedgen.generate_preliminary(command, bug, engine)
     sandbox = prepare_dir / "gen"
     data = seedgen.materialize(spec, sandbox, engine,
                                input_expectations=command.description)

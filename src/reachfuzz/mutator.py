@@ -253,9 +253,12 @@ _OP_LINE = re.compile(r"^([A-Za-z]+)\s*\((.*)\)$")
 
 
 def _parse_int(token: str, where: str) -> int:
-    if not _INT.match(token):
-        raise DslError(f"{where}: expected an integer, got {token!r}")
-    return int(token, 0)
+    try:
+        if _INT.match(token):
+            return int(token, 0)
+    except ValueError:  # _INT admits a decimal with a leading zero, as in 01
+        pass
+    raise DslError(f"{where}: expected an integer, got {token!r}")
 
 
 def _parse_expr(token: str, where: str) -> Expr:
@@ -275,7 +278,7 @@ def _parse_expr(token: str, where: str) -> Expr:
     if m:
         return Expr("end", int(m.group(1) or 0), label=label)
     if _INT.match(token):
-        return Expr("abs", int(token, 0), label=label)
+        return Expr("abs", _parse_int(token, where), label=label)
     raise DslError(f"{where}: bad offset/length expression {token!r}")
 
 

@@ -165,15 +165,14 @@ def _spec_from_answer(answer, payload_field: str) -> GeneratorSpec:
         raise MaterializeError(str(exc)) from None
 
 
-def generate_preliminary(command: CommandLine, bug_info, engine: Engine,
-                         input_expectations: str = "") -> GeneratorSpec:
+def generate_preliminary(command: CommandLine, bug_info, engine: Engine) -> GeneratorSpec:
     """Ask for the first input: literal bytes for simple formats, a generator
     script for complex ones."""
     answer = engine.run(
         "preliminary_seed",
         {"command": command.render(),
          "bug_summary": bug_info.query_text(),
-         "input_expectations": input_expectations or command.description or "(none)"},
+         "input_expectations": command.description or "(none)"},
         temperature=TEMPERATURE_GENERATION,
     )
     return _spec_from_answer(answer, "payload")
@@ -270,42 +269,100 @@ def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None 
 
 # --- optimization loops ---------------------------------------------------------
 
-def _trace_level(dist_to_target: dict[int, int], trace) -> int | None:
-    levels = [dist_to_target[fn] for fn in trace.reached if fn in dist_to_target]
-    return min(levels) if levels else None
-
-
-class _AttemptLog:
-    """Executed candidates with their distance level, for subset selection."""
-
-    def __init__(self, graph: CallGraph, target: int):
-        self.dist = callgraph.distances_to(graph, target)
-        self.attempts: list[tuple[int, Seed]] = []
-
-    def record(self, seed: Seed, trace) -> int | None:
-        level = _trace_level(self.dist, trace)
-        if level is not None:
-            self.attempts.append((level, seed))
-        return level
-
-    def subset(self) -> list[Seed]:
-        best: dict[int, Seed] = {}
-        for level, seed in self.attempts:
-            kept = best.get(level)
-            if kept is None or len(seed.data) < len(kept.data):
-                best[level] = seed
-        kept_seeds = []
-        for level in sorted(best)[:MAX_KEPT_SEEDS]:
-            seed = best[level]
-            kept_seeds.append(seed.derived(seed.data, {"task": "keep", "level": level,
-                                                       "accepted": True}))
-        return kept_seeds
+_EXPIRED = object()  # _Opt.first_reaching's result once the budget has run out
 
 
 def _candidate_fields(answer) -> list[str]:
     """The answer's non-empty ``candidate_<i>`` fields, in order."""
     names = [f"candidate_{i}" for i in range(1, MAX_CANDIDATES_PER_STEP + 1)]
     return [name for name in names if str(answer.values.get(name) or "").strip()]
+
+
+class _Opt:
+    """One optimization run: its deadline, the target's distance map, and the
+    executed candidates with their distance level, for subset selection."""
+
+    def __init__(self, graph: CallGraph, target: int, runner, engine: Engine,
+                 budget: float, definition_source, sandbox: str | Path):
+        if budget <= 0:
+            raise ValueError("budget must be positive")
+        self.deadline = time.monotonic() + budget
+        self.graph = graph
+        self.dist = callgraph.distances_to(graph, target)
+        self.runner = runner
+        self.engine = engine
+        self.definition_source = definition_source
+        self.sandbox = sandbox
+        self.attempts: list[tuple[int, Seed]] = []
+
+    def expired(self) -> bool:
+        return time.monotonic() >= self.deadline
+
+    def run(self, seed: Seed):
+        """Execute the seed, record its level if it has one, return its trace."""
+        trace = self.runner(seed.data).trace
+        levels = [self.dist[fn] for fn in trace.reached if fn in self.dist]
+        if levels:
+            self.attempts.append((min(levels), seed))
+        return trace
+
+    def first_reaching(self, answer, base: Seed, step: dict, goals: tuple[int, ...]):
+        """Run the answer's candidates in order; the first whose trace contains
+        a goal is returned with that trace, as the accepted seed derived from
+        ``base``. None when no candidate does, ``_EXPIRED`` on the deadline."""
+        for name in _candidate_fields(answer):
+            if self.expired():
+                return _EXPIRED
+            try:
+                data = materialize(_spec_from_answer(answer, name), self.sandbox, self.engine)
+            except MaterializeError as exc:
+                log.warning("candidate failed to materialize: %s", exc)
+                continue
+            trace = self.run(base.derived(data, step | {"accepted": False}))
+            if any(trace.contains(goal) for goal in goals):
+                return base.derived(data, step | {"accepted": True}), trace
+        return None
+
+    def outcome(self, status: str, seed: Seed) -> OptimizationOutcome:
+        """The smallest executed seed per distance level, closest levels first."""
+        best: dict[int, Seed] = {}
+        for level, attempt in self.attempts:
+            if level not in best or len(attempt.data) < len(best[level].data):
+                best[level] = attempt
+        kept = [best[level].derived(best[level].data,
+                                    {"task": "keep", "level": level, "accepted": True})
+                for level in sorted(best)[:MAX_KEPT_SEEDS]]
+        return OptimizationOutcome(status, seed, kept)
+
+    def along_chain(self, seed: Seed, trace, chain: CallChain) -> OptimizationOutcome:
+        """Adjust ``seed``, whose execution gave ``trace``, until its trace
+        contains the chain target."""
+        graph = self.graph
+        target = chain.target
+        while True:
+            if trace.contains(target):
+                return OptimizationOutcome("reached", seed, [seed])
+            if self.expired():
+                return self.outcome("timeout", seed)
+            dev, goal = callgraph.deviation(self.dist, chain, trace)
+            goal_name = graph.name_of(goal)
+            answer = self.engine.run(
+                "chain_step",
+                {
+                    "deviation_function": self.definition_source(graph.name_of(dev)),
+                    "next_goal": goal_name,
+                    "executed_path": " -> ".join(graph.name_of(f) for f in trace.reached),
+                    "current_input": hexdump(seed.data),
+                },
+                temperature=TEMPERATURE_GENERATION,
+            )
+            found = self.first_reaching(answer, seed, {"task": "chain_step", "goal": goal_name},
+                                        (goal, target))
+            if found is _EXPIRED:
+                return self.outcome("timeout", seed)
+            if found is not None:
+                seed, trace = found
+            # else re-query next round; useless answers burn budget, not progress.
 
 
 def optimize_along_chain(seed: Seed, chain: CallChain, graph: CallGraph, runner,
@@ -318,55 +375,8 @@ def optimize_along_chain(seed: Seed, chain: CallChain, graph: CallGraph, runner,
     when branch constraints are ambiguous), and adopts the first candidate
     whose trace reaches the goal. Stops at the target or the budget.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    deadline = time.monotonic() + budget
-    target = chain.target
-    attempts = _AttemptLog(graph, target)
-    current = seed
-    result = runner(current.data)
-    attempts.record(current, result.trace)
-    trace = result.trace
-
-    while True:
-        if trace.contains(target):
-            return OptimizationOutcome("reached", current, [current])
-        if time.monotonic() >= deadline:
-            return OptimizationOutcome("timeout", current, attempts.subset())
-        dev, goal = callgraph.deviation(attempts.dist, chain, trace)
-        goal_name = graph.name_of(goal)
-        executed_names = " -> ".join(graph.name_of(f) for f in trace.reached)
-        answer = engine.run(
-            "chain_step",
-            {
-                "deviation_function": definition_source(graph.name_of(dev)),
-                "next_goal": goal_name,
-                "executed_path": executed_names,
-                "current_input": hexdump(current.data),
-            },
-            temperature=TEMPERATURE_GENERATION,
-        )
-        advanced = False
-        for name in _candidate_fields(answer):
-            if time.monotonic() >= deadline:
-                return OptimizationOutcome("timeout", current, attempts.subset())
-            step_record = {"task": "chain_step", "goal": goal_name}
-            try:
-                data = materialize(_spec_from_answer(answer, name), sandbox, engine)
-            except MaterializeError as exc:
-                log.warning("candidate failed to materialize: %s", exc)
-                continue
-            candidate = current.derived(data, step_record | {"accepted": False})
-            cand_result = runner(data)
-            attempts.record(candidate, cand_result.trace)
-            if cand_result.trace.contains(goal) or cand_result.trace.contains(target):
-                current = current.derived(data, step_record | {"accepted": True})
-                trace = cand_result.trace
-                advanced = True
-                break
-        if not advanced:
-            # Re-query next round; useless answers burn budget, not progress.
-            continue
+    opt = _Opt(graph, chain.target, runner, engine, budget, definition_source, sandbox)
+    return opt.along_chain(seed, opt.run(seed), chain)
 
 
 def optimize_by_functionality(seed: Seed, graph: CallGraph, target: int, runner,
@@ -376,22 +386,19 @@ def optimize_by_functionality(seed: Seed, graph: CallGraph, target: int, runner,
     """Reach the target through one of its direct callers when no complete
     chain exists.
 
-    Callers are probed in seeded-random order; once an input reaches one, a
-    chain suffix from that caller hands off to the chain optimization loop.
-    With no callers at all the target is isolated and reported as such.
+    Callers are probed in seeded-random order; once an input reaches one, the
+    chain suffix from that caller to the target is optimized within the same
+    budget, from that input and its trace. With no callers at all the target
+    is isolated and reported as such.
     """
-    if budget <= 0:
-        raise ValueError("budget must be positive")
-    direct_callers = graph.predecessors(target)
-    if not direct_callers:
+    opt = _Opt(graph, target, runner, engine, budget, definition_source, sandbox)
+    order = list(graph.predecessors(target))
+    if not order:
         return OptimizationOutcome("isolated-target", seed, [])
-    deadline = time.monotonic() + budget
-    attempts = _AttemptLog(graph, target)
-    order = list(direct_callers)
     rng.shuffle(order)
     for neighbor in order:
-        if time.monotonic() >= deadline:
-            return OptimizationOutcome("timeout", seed, attempts.subset())
+        if opt.expired():
+            return opt.outcome("timeout", seed)
         neighbor_name = graph.name_of(neighbor)
         answer = engine.run(
             "neighbor_probe",
@@ -403,33 +410,15 @@ def optimize_by_functionality(seed: Seed, graph: CallGraph, target: int, runner,
             },
             temperature=TEMPERATURE_GENERATION,
         )
-        for name in _candidate_fields(answer):
-            if time.monotonic() >= deadline:
-                return OptimizationOutcome("timeout", seed, attempts.subset())
-            step_record = {"task": "neighbor_probe", "goal": neighbor_name}
-            try:
-                data = materialize(_spec_from_answer(answer, name), sandbox, engine)
-            except MaterializeError as exc:
-                log.warning("neighbor candidate failed to materialize: %s", exc)
-                continue
-            candidate = seed.derived(data, step_record | {"accepted": False})
-            result = runner(data)
-            attempts.record(candidate, result.trace)
-            if result.trace.contains(neighbor):
-                reached_seed = seed.derived(data, step_record | {"accepted": True})
-                suffix = CallChain(_suffix_path(neighbor, target))
-                remaining = max(deadline - time.monotonic(), 1.0)
-                return optimize_along_chain(
-                    reached_seed, suffix, graph, runner, engine, remaining,
-                    definition_source, sandbox,
-                )
-    return OptimizationOutcome("partial", seed, attempts.subset())
-
-
-def _suffix_path(start: int, target: int) -> tuple[int, ...]:
-    if start == target:
-        return (target,)
-    return (start, target)
+        found = opt.first_reaching(answer, seed,
+                                   {"task": "neighbor_probe", "goal": neighbor_name},
+                                   (neighbor,))
+        if found is _EXPIRED:
+            return opt.outcome("timeout", seed)
+        if found is not None:
+            suffix = (target,) if neighbor == target else (neighbor, target)
+            return opt.along_chain(*found, CallChain(suffix))
+    return opt.outcome("partial", seed)
 
 
 def write_outcome(outcome: OptimizationOutcome, directory: str | Path) -> list[Path]:

@@ -14,7 +14,7 @@ import pytest
 
 import reachfuzz
 from conftest import dedent
-from reachfuzz import cli, llm_client
+from reachfuzz import callgraph, cli, llm_client
 from reachfuzz.campaign import load_stats
 from reachfuzz.cli import (
     EXIT_ISOLATED_TARGET,
@@ -264,6 +264,20 @@ def test_demo_prepare_prompts_match_golden(demo_config, monkeypatch):
     assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
     golden = (Path(__file__).parent / "golden" / "demo_prompts.sha256").read_text().split()
     assert [hashlib.sha256(p.encode("utf-8")).hexdigest() for p in prompts] == golden
+
+
+def test_demo_prepare_computes_the_distance_map_twice(demo_config, monkeypatch):
+    # once in complete_chain and once for Opt, both to the bug's target
+    targets = []
+    distances_to = callgraph.distances_to
+
+    def counting_distances_to(graph, dst):
+        targets.append(dst)
+        return distances_to(graph, dst)
+
+    monkeypatch.setattr(callgraph, "distances_to", counting_distances_to)
+    assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
+    assert len(targets) == 2 and len(set(targets)) == 1
 
 
 def test_exit_codes_are_distinct_and_stable():

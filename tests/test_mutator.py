@@ -65,6 +65,8 @@ def test_parse_comments_hex_and_rand():
     ("SetByte 0, 1", "expected OpName"),
     ("DeleteRange(rand(5,2), 1)", "rand bounds"),
     ("ResizeTo(0, 256)", "fill byte"),
+    ("SetByte(01, 1)", "expected an integer"),
+    ("SetByte(0, 07)", "expected an integer"),
 ])
 def test_parse_errors(bad, message):
     with pytest.raises(DslError, match=message):
@@ -305,6 +307,17 @@ def test_synthesize_repairs_bad_program(catalog):
     program = synthesize([MutationStrategy("s", "r")], engine)
     assert engine.client.accounting().total_requests == 2
     assert program.ops == [SetByte(Expr("abs", 0), 1)]
+
+
+def test_synthesize_repairs_a_leading_zero_literal(catalog):
+    engine = engine_from_rules(
+        catalog,
+        ("Translate the mutation strategies", "PROGRAM:\n```\nSetByte(01, 0xFF)\n```"),
+        ("rejected by the mutation-language parser", "PROGRAM:\n```\nSetByte(1, 0xFF)\n```"),
+    )
+    program = synthesize([MutationStrategy("s", "r")], engine)
+    assert engine.client.accounting().total_requests == 2
+    assert program.ops == [SetByte(Expr("abs", 1), 255)]
 
 
 def test_synthesize_exhausts_repairs(catalog):

@@ -22,7 +22,6 @@ SETTINGS = {
     "bug_report_file": "required; the demo workspace and every benchmark workload",
     "work_dir": "required; the demo workspace and every benchmark workload",
     "fixture_file": "the demo config: the scripted backend of the demo and every workload",
-    "llm_backend": "operator: `remote` selects the HTTP backend (README config example)",
     "program_exec": "the demo config; bench/session.py swaps in the native binary",
     "opt_budget": "the demo config (120s)",
     "trial_duration": "the demo config (1500ms); test_fuzz_refresh_rebuilds_on_the_worker_executor",

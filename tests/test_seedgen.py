@@ -370,6 +370,45 @@ def test_functionality_fallback_hands_off_to_chain(catalog, ppm_command,
     assert outcome.best_seed.data.startswith(b"P6\n")
 
 
+def test_functionality_fallback_hands_off_without_recomputing(catalog, ppm_command,
+                                                               ppm_program_exec, tmp_path,
+                                                               monkeypatch):
+    # the probe and the chain suffix share one distance map, and the input
+    # that reached the caller is not executed again after the handoff
+    dist_calls = []
+    distances_to = callgraph.distances_to
+
+    def counting_distances_to(graph, dst):
+        dist_calls.append(dst)
+        return distances_to(graph, dst)
+
+    monkeypatch.setattr(callgraph, "distances_to", counting_distances_to)
+    graph = gap_graph()
+    target = graph.id_of("read_pixels")
+    from reachfuzz.campaign import Executor
+
+    executor = Executor(graph, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
+    executed = []
+
+    def runner(data):
+        executed.append(data)
+        return executor.run(data)
+
+    engine = engine_from_rules(catalog, NEIGHBOR_FIX)
+    try:
+        outcome = optimize_by_functionality(
+            Seed(b"P2\n", ppm_command), graph, target, runner, engine, budget=30.0,
+            rng=random.Random(5), usage=ppm_usage(), summary_source=ppm_summaries,
+            definition_source=ppm_definitions, sandbox=tmp_path / "sb")
+    finally:
+        executor.close()
+    assert outcome.status == "reached"
+    assert [st["task"] for st in outcome.best_seed.provenance] == ["neighbor_probe"]
+    assert engine.client.accounting().total_requests == 1
+    assert dist_calls == [target]
+    assert executed == [outcome.best_seed.data]
+
+
 def test_functionality_fallback_isolated_target(catalog, ppm_command, tmp_path):
     graph = make_graph(["main", "read_pixels"], [])
     engine = engine_from_rules(catalog)

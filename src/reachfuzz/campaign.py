@@ -18,14 +18,13 @@ import random
 import re
 import select
 import signal
-import subprocess
 import threading
 import time
 import weakref
 from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
-from . import callgraph, mutator
+from . import callgraph, mutator, process
 from .callgraph import CallGraph, TraceObservation
 from .errors import ReachFuzzError
 from .llm_client import child_environment
@@ -81,6 +80,9 @@ class Executor:
         self._input_path = workdir / f"input-{tag}.bin"
         self._trace_path = workdir / f"trace-{tag}.log"
         self._stderr_path = workdir / f"stderr-{tag}.log"
+        # Held open: closing a truncated, rewritten file makes ext4 flush it (~60 us).
+        self._stderr_fd = os.open(self._stderr_path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        weakref.finalize(self, os.close, self._stderr_fd)
         head = program_exec or [command.program]
         self.argv = tuple(head + [arg.replace("@@", str(self._input_path))
                                   for arg in command.args])
@@ -96,16 +98,15 @@ class Executor:
             self.fork_server = self.server is not None
         self._input_path.write_bytes(data)
         self._trace_path.unlink(missing_ok=True)
-        outcome = None
         if self.server is not None:
-            outcome = self.server.run(self.exec_timeout)
-            if outcome is None:  # the server died; spawn this input, restart next time
+            try:
+                returncode = self.server.run(self.exec_timeout)
+            except EOFError:  # the server died; spawn this input, restart next time
                 self.close()
-        if outcome is None:
-            outcome = self._spawn()
-        returncode, stderr = outcome
+        if self.server is None:
+            returncode = self._spawn()
         trace = self._read_trace()
-        excerpt = stderr[:STDERR_EXCERPT_LIMIT].decode("utf-8", errors="replace")
+        excerpt = os.pread(self._stderr_fd, STDERR_EXCERPT_LIMIT, 0).decode("utf-8", "replace")
         if returncode is None:
             return ExecResult("timeout", trace, excerpt)
         if returncode < 0:
@@ -122,16 +123,14 @@ class Executor:
             self.server.close()
             self.server = None
 
-    def _spawn(self) -> tuple[int | None, bytes]:
-        """One process for one input: (returncode or None on timeout, stderr)."""
+    def _spawn(self) -> int | None:
+        """One process for one input: its returncode, or None on timeout."""
+        os.ftruncate(self._stderr_fd, 0)
         try:
-            proc = subprocess.run(self.argv, env=self.env, stdout=subprocess.DEVNULL,
-                                  stderr=subprocess.PIPE, timeout=self.exec_timeout)
-        except subprocess.TimeoutExpired as exc:
-            return None, exc.stderr or b""
+            proc = process.start(self.argv, self.env, stderr=self._stderr_fd)
         except FileNotFoundError as exc:
             raise ReachFuzzError(f"cannot spawn target: {exc}") from None
-        return proc.returncode, proc.stderr or b""
+        return process.wait(proc, self.exec_timeout)
 
     def _read_trace(self) -> TraceObservation:
         try:
@@ -164,15 +163,14 @@ def _preloadable(argv: tuple[str, ...]) -> bool:
 class ForkServer:
     """Orchestrator side of one ``forkserver.py`` helper process.
 
-    The helper serves one fixed argv; each request forks one child. It is
-    single-threaded and owned by one executor, so no orchestrator thread
-    ever forks. ``close()``, collecting the server and interpreter exit
-    stop the helper, all through one finalizer.
+    The helper serves one fixed argv; each request forks one child, which leads
+    its own process group. It is single-threaded and owned by one executor, so
+    no orchestrator thread ever forks. ``close()``, collecting the server and
+    interpreter exit stop the helper, all through one finalizer.
     """
 
-    def __init__(self, proc: subprocess.Popen, stderr_path: Path):
+    def __init__(self, proc):
         self.proc = proc
-        self.stderr_path = stderr_path
         self._finalizer = weakref.finalize(self, _stop_helper, proc)
 
     @classmethod
@@ -182,14 +180,13 @@ class ForkServer:
         one warning) when it cannot, so that the caller spawns instead."""
         python, script, *args = argv
         try:
-            proc = subprocess.Popen(
-                [python, str(FORKSERVER_SCRIPT), str(stderr_path), script, *args],
-                stdin=subprocess.PIPE, stdout=subprocess.PIPE,
-                stderr=subprocess.DEVNULL, env=env, bufsize=0)
+            proc = process.start(
+                [python, str(FORKSERVER_SCRIPT), str(stderr_path), script, *args], env,
+                stdin=process.PIPE, stdout=process.PIPE)
         except OSError as exc:
             log.warning("cannot start a fork server for %s: %s", script, exc)
             return None
-        server = cls(proc, stderr_path)
+        server = cls(proc)
         reply = server._reply(FORKSERVER_START_TIMEOUT)
         if reply == b"ready\n":
             return server
@@ -200,28 +197,22 @@ class ForkServer:
                     script, reason)
         return None
 
-    def run(self, timeout: float) -> tuple[int | None, bytes] | None:
-        """Run one input: (returncode or None on timeout, stderr), or None
-        when the helper is gone. A child past the timeout is killed."""
+    def run(self, timeout: float) -> int | None:
+        """Run one input: its returncode, or None when its group was killed past
+        the timeout. Raises ``EOFError`` when the helper is gone."""
         try:
             self.proc.stdin.write(b"\n")
             pid = int(self.proc.stdout.readline())
-        except (OSError, ValueError):
-            return None
-        reply = self._reply(timeout)
-        returncode = None
-        if reply is None:
+            reply = None
             try:
-                os.kill(pid, signal.SIGKILL)
-            except ProcessLookupError:
-                pass
-            reply = self._reply(None)  # the helper reaps the child
-        elif reply:
-            returncode = os.waitstatus_to_exitcode(int(reply))
-        if not reply:
-            return None
-        with open(self.stderr_path, "rb") as fh:
-            return returncode, fh.read(STDERR_EXCERPT_LIMIT)
+                reply = self._reply(timeout)
+            finally:
+                if not reply:  # past the timeout, helper gone, or interrupted
+                    process.kill_group(pid)
+            status = int(reply or self._reply(None))  # after a kill, the helper reaps it
+        except (OSError, ValueError):
+            raise EOFError("the fork server is gone") from None
+        return os.waitstatus_to_exitcode(status) if reply else None
 
     def close(self):
         self._finalizer()
@@ -233,9 +224,8 @@ class ForkServer:
         return self.proc.stdout.readline()
 
 
-def _stop_helper(proc: subprocess.Popen):
-    proc.kill()
-    proc.wait()
+def _stop_helper(proc):
+    process.wait(proc, 0)  # no wait: kill its group, then reap it
     proc.stdin.close()
     proc.stdout.close()
 

@@ -15,15 +15,18 @@ runs with stdin and stdout on ``/dev/null`` and stderr on the truncated
 stderr file, calls ``main()`` and leaves with the status the interpreter
 would give: the ``SystemExit`` code, or 1 with a printed traceback (from
 ``main`` down) for an uncaught exception. A signal the script sends itself
-kills the child with that signal. The server replies with the child's pid,
+kills the child with that signal. Each child leads its own process group,
+killed before the child is reaped. The server replies with the child's pid,
 then with its raw wait status, one decimal number per line. End of input
 stops the server.
 
 The server starts no threads, so forking it is safe.
 """
 
+import contextlib
 import importlib.util
 import os
+import signal
 import sys
 
 MODULE_NAME = "__reachfuzz_target__"
@@ -94,9 +97,15 @@ def serve(stderr_path, script):
         stderr_fd = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_TRUNC, 0o644)
         pid = os.fork()
         if pid == 0:
+            os.setpgid(0, 0)
             child(main, stderr_fd, (requests.fileno(), replies))
+        with contextlib.suppress(PermissionError):  # raised once the child has exec'd
+            os.setpgid(pid, pid)  # in both, so the group exists before its id is sent
         os.close(stderr_fd)
         os.write(replies, b"%d\n" % pid)
+        os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # unreaped, it holds the group id
+        with contextlib.suppress(ProcessLookupError):  # the child moved to another group
+            os.killpg(pid, signal.SIGKILL)
         _, status = os.waitpid(pid, 0)
         os.write(replies, b"%d\n" % status)
     return 0

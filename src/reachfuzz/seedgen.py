@@ -12,14 +12,15 @@ import base64
 import binascii
 import logging
 import random
+import resource
 import shlex
-import subprocess
+import signal
 import sys
 import time
 from dataclasses import dataclass, field, replace
 from pathlib import Path
 
-from . import callgraph
+from . import callgraph, process
 from .callgraph import CallChain, CallGraph
 from .errors import MaterializeError, TaskError
 from .llm_client import TEMPERATURE_GENERATION, child_environment
@@ -32,6 +33,11 @@ MAX_CANDIDATES_PER_STEP = 4
 MAX_KEPT_SEEDS = 8
 SCRIPT_CPU_LIMIT = 10  # seconds
 SCRIPT_WALL_LIMIT = 30.0
+SCRIPT_FILE_LIMIT = 16 << 20  # bytes in any file a script writes, its stdout included
+SCRIPT_LIMITS = ((resource.RLIMIT_CPU, SCRIPT_CPU_LIMIT),
+                 (resource.RLIMIT_FSIZE, SCRIPT_FILE_LIMIT), (resource.RLIMIT_CORE, 0))
+FILE_LIMIT_NOTE = (f"script files, stdout included, are capped at {SCRIPT_FILE_LIMIT} bytes: past "
+                   "it a write fails with 'File too large', or SIGXFSZ kills the runtime")
 INPUT_DUMP_LIMIT = 4096
 COMMAND_RETRIES = 3
 SCRIPT_REPAIRS = 3
@@ -202,34 +208,27 @@ def _runtime_argv(runtime_label: str) -> list[str]:
 
 def _run_script(payload: str, runtime_label: str, sandbox: Path) -> tuple[bytes, str]:
     """Run a generator script in the sandbox dir, with no ``RF_LLM_*`` name in
-    its environment; returns (stdout, stderr)."""
+    its environment, under ``SCRIPT_LIMITS``; returns (stdout, stderr)."""
     sandbox.mkdir(parents=True, exist_ok=True)
     script = sandbox / "generator.py"
     script.write_text(payload, encoding="utf-8")
-
-    def limit_cpu():
-        import resource
-
-        resource.setrlimit(resource.RLIMIT_CPU, (SCRIPT_CPU_LIMIT, SCRIPT_CPU_LIMIT))
-
-    try:
-        proc = subprocess.run(
-            _runtime_argv(runtime_label) + [str(script)],
-            cwd=sandbox,
-            env=child_environment(),
-            stdout=subprocess.PIPE,
-            stderr=subprocess.PIPE,
-            timeout=SCRIPT_WALL_LIMIT,
-            preexec_fn=limit_cpu,
-        )
-    except subprocess.TimeoutExpired:
+    out_path, err_path = sandbox / "generator.out", sandbox / "generator.err"
+    with open(out_path, "wb") as stdout, open(err_path, "wb") as stderr:
+        try:
+            proc = process.start(_runtime_argv(runtime_label) + [str(script)],
+                                 child_environment(), stdout=stdout, stderr=stderr,
+                                 cwd=sandbox, limits=SCRIPT_LIMITS)
+        except OSError as exc:
+            return b"", f"cannot launch runtime {runtime_label!r}: {exc}"
+    returncode = process.wait(proc, SCRIPT_WALL_LIMIT)
+    if returncode is None:
         return b"", "generator script exceeded its time limit"
-    except OSError as exc:
-        return b"", f"cannot launch runtime {runtime_label!r}: {exc}"
-    stderr = proc.stderr.decode("utf-8", errors="replace")
-    if proc.returncode != 0:
-        return b"", stderr or f"generator script exited {proc.returncode}"
-    return proc.stdout, stderr
+    stderr = err_path.read_bytes().decode("utf-8", errors="replace")
+    if returncode == -signal.SIGXFSZ or out_path.stat().st_size >= SCRIPT_FILE_LIMIT:
+        return b"", f"{stderr}\n{FILE_LIMIT_NOTE}".lstrip()
+    if returncode != 0:
+        return b"", stderr or f"generator script exited {returncode}"
+    return out_path.read_bytes(), stderr
 
 
 def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None = None,
@@ -314,7 +313,8 @@ class _Opt:
             if self.expired():
                 return _EXPIRED
             try:
-                data = materialize(_spec_from_answer(answer, name), self.sandbox, self.engine)
+                data = materialize(_spec_from_answer(answer, name), self.sandbox,
+                                   self.engine, base.command.description)
             except MaterializeError as exc:
                 log.warning("candidate failed to materialize: %s", exc)
                 continue

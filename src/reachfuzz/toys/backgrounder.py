@@ -1,0 +1,29 @@
+"""backgrounder: read the input file, leave one background child, exit cleanly.
+
+The child sleeps far longer than any exec timeout; its pid goes to stderr
+as ``child <pid>``.
+"""
+
+import os
+import sys
+import time
+
+
+def trace(name):
+    path = os.environ.get("RF_TRACE_FILE")
+    if path: open(path, "a").write(name + "\n")  # noqa: E701
+
+
+def main():
+    trace("main")
+    open(sys.argv[1], "rb").read()
+    sys.stderr.flush()
+    pid = os.fork()
+    if pid == 0:
+        time.sleep(60)
+        os._exit(0)
+    sys.stderr.write("child %d\n" % pid)
+
+
+if __name__ == "__main__":
+    main()

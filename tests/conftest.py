@@ -3,6 +3,7 @@ from __future__ import annotations
 import random
 import sys
 import textwrap
+import time
 from pathlib import Path
 
 import pytest
@@ -15,6 +16,27 @@ from reachfuzz.mutator import Expr, InsertBytes, MutationProgram, ResizeTo
 from reachfuzz.query_engine import AnswerSchema, Engine, load_catalog
 from reachfuzz.seedgen import CommandLine
 from reachfuzz.toys import toy_path
+
+
+def process_gone(pid: int) -> bool:
+    """True when ``pid`` has exited: a zombie counts, since a killed
+    grandchild is reparented and may wait a while to be reaped."""
+    try:
+        stat = Path(f"/proc/{pid}/stat").read_text()
+    except OSError:
+        return True
+    return stat.rsplit(")", 1)[1].split()[0] == "Z"
+
+
+def processes_end(pids: list[int]) -> bool:
+    """True when every pid is gone within 2 s (a kill is delivered
+    asynchronously)."""
+    deadline = time.monotonic() + 2.0
+    while not all(process_gone(pid) for pid in pids):
+        if time.monotonic() > deadline:
+            return False
+        time.sleep(0.01)
+    return True
 
 
 def make_graph(names: list[str], edges: list[tuple[int, int]], entry: int = 0,

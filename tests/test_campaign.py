@@ -12,7 +12,7 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PPM_CRASH, PPM_SEED, make_graph
+from conftest import PPM_CRASH, PPM_SEED, make_graph, process_gone, processes_end
 from reachfuzz import campaign, mutator
 from reachfuzz.campaign import (
     CampaignConfig,
@@ -123,10 +123,6 @@ def backend_executor(request, ppm_graph, ppm_command, ppm_program_exec, tmp_path
     executor.close()
 
 
-def process_gone(pid: int) -> bool:
-    return not Path(f"/proc/{pid}").exists()
-
-
 def children_of(pid: int) -> list[int]:
     children = []
     for stat in Path("/proc").glob("[0-9]*/stat"):
@@ -201,7 +197,8 @@ def test_fork_server_exit_status_matches_interpreter(tmp_path):
     try:
         for mode in (b"code", b"wide", b"message", b"raise", b"abort", b"return"):
             input_path.write_bytes(mode)
-            returncode, stderr = server.run(5.0)
+            returncode = server.run(5.0)
+            stderr = (tmp_path / "stderr.log").read_bytes()
             spawned = subprocess.run(argv, capture_output=True, timeout=30)
             assert returncode == spawned.returncode, mode
             if mode == b"raise":  # the fork server's traceback starts at main()
@@ -231,6 +228,47 @@ def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, star
         assert len(started_servers) == 1  # the helper served the second input too
     finally:
         executor.close()
+
+
+def child_pids(stderr: str, count: int) -> list[int]:
+    pids = [int(line.split()[1]) for line in stderr.splitlines() if line.startswith("child ")]
+    assert len(pids) == count, stderr
+    return pids
+
+
+@pytest.mark.parametrize("head, fork_server", [
+    ([sys.executable, str(toy_path("backgrounder"))], True),
+    ([sys.executable, str(toy_path("backgrounder"))], False),
+    (["sh", "-c", "sleep 30 & echo child $! >&2; exit 0"], False),
+], ids=["fork-server", "spawn", "shell"])
+def test_background_child_is_clean_and_ended(head, fork_server, tmp_path, started_servers):
+    executor = Executor(make_graph(["main"], []), tmp_path, CommandLine("bg", ("@@",)), 2.0,
+                        head, fork_server=fork_server)
+    try:
+        executor.run(b"warm-up")  # the fork server starts on first use
+        start = time.monotonic()
+        result = executor.run(b"anything")
+        elapsed = time.monotonic() - start
+    finally:
+        executor.close()
+    assert result.exit_kind == "clean"
+    assert elapsed < 1.0  # not held until the child's sleep ends or the timeout
+    assert [server is not None for server in started_servers] == [True] * fork_server
+    assert processes_end(child_pids(result.stderr_excerpt, 1))
+
+
+@pytest.mark.parametrize("fork_server", [True, False])
+def test_hanging_forker_times_out_and_leaves_nothing(fork_server, tmp_path, started_servers):
+    executor = Executor(make_graph(["main"], []), tmp_path, CommandLine("forker", ("@@",)),
+                        1.0, [sys.executable, str(toy_path("forker"))], fork_server=fork_server)
+    try:
+        result = executor.run(b"anything")
+        if fork_server:
+            assert children_of(started_servers[0].proc.pid) == []
+    finally:
+        executor.close()
+    assert result.exit_kind == "timeout"
+    assert processes_end(child_pids(result.stderr_excerpt, 2))
 
 
 def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_servers):

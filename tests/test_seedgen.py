@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import random
+import resource
+import time
 
 import pytest
 
-from conftest import PPM_SEED, engine_from_rules, make_graph
+from conftest import PPM_SEED, engine_from_rules, make_graph, processes_end
 from reachfuzz import callgraph, seedgen
 from reachfuzz.errors import MaterializeError, TaskError
 from reachfuzz.knowledge import BugInfo, FunctionSummary, ProgramUsage
@@ -191,6 +193,32 @@ def test_generator_script_sees_no_llm_settings(tmp_path, monkeypatch):
     assert str(failure.value).endswith("output: key=")
 
 
+def test_endless_generator_output_fails_fast_within_the_cap(tmp_path):
+    spec = GeneratorSpec("script", "import sys\n"
+                         "while True:\n    sys.stdout.buffer.write(b'A' * 65536)\n")
+    before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+    start = time.monotonic()
+    with pytest.raises(MaterializeError) as failure:
+        materialize(spec, tmp_path / "sb")
+    assert time.monotonic() - start < 1.0
+    assert "File too large" in str(failure.value)
+    assert str(failure.value).endswith(seedgen.FILE_LIMIT_NOTE)
+    grown_kib = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+    assert grown_kib < seedgen.SCRIPT_FILE_LIMIT // 1024 // 2
+    assert (tmp_path / "sb" / "generator.out").stat().st_size == seedgen.SCRIPT_FILE_LIMIT
+
+
+def test_generator_grandchild_neither_delays_nor_outlives_it(tmp_path):
+    spec = GeneratorSpec("script", "import subprocess\n"
+                         "child = subprocess.Popen(['sleep', '30'])\n"
+                         "open('grandchild.pid', 'w').write(str(child.pid))\n"
+                         "print('seed')\n")
+    start = time.monotonic()
+    assert materialize(spec, tmp_path / "sb") == b"seed\n"
+    assert time.monotonic() - start < 2.0  # not held until the grandchild's sleep ends
+    assert processes_end([int((tmp_path / "sb" / "grandchild.pid").read_text())])
+
+
 def test_hexdump_shapes():
     dump = hexdump(b"P6\n2 2\n255\n\x00\x01")
     assert dump.startswith("00000000  50 36 0a")
@@ -314,6 +342,26 @@ def test_optimize_progress_is_sound(catalog, ppm_graph, ppm_runner, ppm_command,
                                    sandbox=tmp_path / "sb")
     final = ppm_runner(outcome.best_seed.data)
     assert min(dist[f] for f in final.trace.reached if f in dist) < dist[dev]
+
+
+def test_candidate_script_repair_gets_the_input_expectations(catalog, ppm_graph, ppm_runner,
+                                                            tmp_path):
+    fixed = f'import sys\nsys.stdout.buffer.write(bytes.fromhex("{P6_CANDIDATE_HEX}"))\n'
+    engine = engine_from_rules(
+        catalog,
+        ("how should the input be modified",
+         "KIND: script\nCANDIDATE_1:\n```\nraise RuntimeError('broken')\n```"),
+        ("re:input-generator script below failed.*a binary PPM image",
+         f"PAYLOAD:\n```\n{fixed}```"),
+    )
+    command = CommandLine("ppmcheck", ("@@",), "a binary PPM image")
+    chain = callgraph.complete_chain(ppm_graph, ppm_graph.id_of("read_pixels"))
+    outcome = optimize_along_chain(Seed(b"P2\n2 2\n255\n", command), chain, ppm_graph,
+                                   ppm_runner, engine, budget=30.0,
+                                   definition_source=ppm_definitions,
+                                   sandbox=tmp_path / "sb")
+    assert outcome.status == "reached"
+    assert engine.client.accounting().total_requests == 2  # one step, one repair
 
 
 def test_budget_must_be_positive(catalog, ppm_graph, ppm_command, ppm_runner, tmp_path):

@@ -8,13 +8,10 @@ become edges.
 
 from __future__ import annotations
 
-import logging
 from collections import deque
 from dataclasses import dataclass
 
 from .errors import GraphFormatError, TraceDisjointError
-
-log = logging.getLogger(__name__)
 
 
 @dataclass(frozen=True)
@@ -45,7 +42,7 @@ class CallGraph:
         for adj in (self._succ, self._pred):
             for nid in adj:
                 adj[nid].sort(key=by_name)
-        self._by_name = {node.name: node.id for node in self.nodes.values()}
+        self.ids = {node.name: node.id for node in self.nodes.values()}
 
     def successors(self, node_id: int) -> list[int]:
         return self._succ[node_id]
@@ -54,7 +51,7 @@ class CallGraph:
         return self._pred[node_id]
 
     def id_of(self, name: str) -> int | None:
-        return self._by_name.get(name)
+        return self.ids.get(name)
 
     def name_of(self, node_id: int) -> str:
         return self.nodes[node_id].name
@@ -114,19 +111,10 @@ class TraceObservation:
         return node_id in self.reached
 
 
-def observe(graph: CallGraph, names: list[str]) -> TraceObservation:
-    """Map traced function names onto graph ids, dropping unknown names."""
-    reached: list[int] = []
-    dropped: set[str] = set()
-    for name in names:
-        nid = graph.id_of(name)
-        if nid is None:
-            dropped.add(name)
-        else:
-            reached.append(nid)
-    if dropped:
-        log.warning("trace names not in the call graph, dropped: %s", sorted(dropped))
-    return TraceObservation(reached)
+def observe(ids: dict[str, int], names: list[str]) -> TraceObservation:
+    """Map traced function names onto ids by the name->id map ``ids``
+    (``CallGraph.ids``), dropping unknown names."""
+    return TraceObservation([ids[name] for name in names if name in ids])
 
 
 def load(path) -> CallGraph:

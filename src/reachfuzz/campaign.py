@@ -25,7 +25,7 @@ from dataclasses import dataclass, field, asdict
 from pathlib import Path
 
 from . import callgraph, mutator, process
-from .callgraph import CallGraph, TraceObservation
+from .callgraph import TraceObservation
 from .errors import ReachFuzzError
 from .llm_client import child_environment
 from .seedgen import CommandLine
@@ -53,8 +53,10 @@ class ExecResult:
 class Executor:
     """Runs one command with trace capture; one executor per worker context.
 
-    The argv, with ``@@`` naming the executor's input file, and the child
-    environment are fixed at construction. ``program_exec``, when not
+    ``ids`` maps traced function names to call-graph ids (``CallGraph.ids``);
+    a traced name it lacks is dropped, with one warning per executor for each
+    such name. The argv, with ``@@`` naming the executor's input file, and the
+    child environment are fixed at construction. ``program_exec``, when not
     empty, is the argv head that replaces the command's program, whatever
     name the command gives it. Children see this process's environment
     without the ``RF_LLM_*`` backend settings, plus ``RF_TRACE_FILE``.
@@ -68,11 +70,12 @@ class Executor:
     input. ``close()`` stops the server.
     """
 
-    def __init__(self, graph: CallGraph, workdir: str | Path, command: CommandLine,
+    def __init__(self, ids: dict[str, int], workdir: str | Path, command: CommandLine,
                  exec_timeout: float = DEFAULT_EXEC_TIMEOUT,
                  program_exec: list[str] | None = None,
                  tag: str = "0", *, fork_server: bool = True):
-        self.graph = graph
+        self.ids = ids
+        self._unknown_names: set[str] = set()  # warned about once each
         workdir = Path(workdir)
         workdir.mkdir(parents=True, exist_ok=True)
         self.exec_timeout = exec_timeout
@@ -144,7 +147,17 @@ class Executor:
         except OSError:
             log.warning("trace file unreadable; treating trace as empty")
             return TraceObservation([])
-        return callgraph.observe(self.graph, names)
+        trace = callgraph.observe(self.ids, names)
+        if len(trace.reached) < len(names):
+            self._warn_unknown(names)
+        return trace
+
+    def _warn_unknown(self, names: list[str]):
+        new = {name for name in names if name not in self.ids} - self._unknown_names
+        if new:
+            self._unknown_names |= new
+            log.warning("trace names not in the call graph, dropped (warned once each): %s",
+                        sorted(new))
 
 
 # --- fork server -------------------------------------------------------------------
@@ -328,13 +341,14 @@ class CampaignStats:
         return any(c.reached_target for c in self.crashes)
 
 
-def run(config: CampaignConfig, program: mutator.MutationProgram | None, graph: CallGraph,
+def run(config: CampaignConfig, program: mutator.MutationProgram | None, ids: dict[str, int],
         workdir: str | Path, strategies: list[mutator.MutationStrategy] | None = None,
         rebuild=None) -> CampaignStats:
     """Run the directed campaign until the duration limit or the first
     target-attributed crash (when stop_on_first is set).
 
-    ``program`` is the starting mutation program, or None for random-only.
+    ``program`` is the starting mutation program, or None for random-only;
+    ``ids`` maps traced function names to call-graph ids (``CallGraph.ids``).
     ``rebuild(prior_strategies, runner)`` returns a ``mutator.MutatorBuild``
     for each periodic refresh; without it a refresh re-issues the current
     program. ``events.log`` and ``stats.json`` are written on every exit.
@@ -343,7 +357,7 @@ def run(config: CampaignConfig, program: mutator.MutationProgram | None, graph: 
     is re-raised here after both files are written, ``events.log`` without
     its ``finish`` event.
     """
-    return Campaign(config, program, graph, workdir, strategies or [], rebuild).run()
+    return Campaign(config, program, ids, workdir, strategies or [], rebuild).run()
 
 
 class Campaign:
@@ -358,10 +372,10 @@ class Campaign:
     """
 
     def __init__(self, config: CampaignConfig, program: mutator.MutationProgram | None,
-                 graph: CallGraph, workdir: str | Path,
+                 ids: dict[str, int], workdir: str | Path,
                  strategies: list[mutator.MutationStrategy], rebuild):
         self.config = config
-        self.graph = graph
+        self.ids = ids
         self.workdir = Path(workdir)
         self.rebuild = rebuild
         self.program = program
@@ -419,7 +433,7 @@ class Campaign:
     def _work(self, widx: int):
         """One worker; its first exception stops every worker."""
         config = self.config
-        executor = Executor(self.graph, self.workdir / "exec", config.command,
+        executor = Executor(self.ids, self.workdir / "exec", config.command,
                             config.exec_timeout, config.program_exec, tag=str(widx))
         try:
             self._fuzz(random.Random((config.rng_seed << 8) ^ widx), executor)

@@ -3,7 +3,8 @@
 ``prepare`` runs the four preparation stages (static analysis, retrieval
 grounded usage, seed optimization, mutator synthesis) and persists every
 artifact with its wall-clock duration. ``fuzz`` runs the directed campaign
-from a prepared bundle. ``report`` renders the stage table and campaign
+from a prepared bundle and the call graph's name->id map that SA saved, so it
+never parses the graph again. ``report`` renders the stage table and campaign
 counters from the persisted files alone.
 """
 
@@ -12,6 +13,7 @@ from __future__ import annotations
 import argparse
 import contextlib
 import dataclasses
+import hashlib
 import json
 import logging
 import random
@@ -180,14 +182,14 @@ def cmd_prepare(config: ProjectConfig, opt_budget: float | None = None,
     executor = None  # one for Opt and Mutator, so a Python target is preloaded once
     try:
         with clock.stage("SA"):
-            graph, bug, target, chain = _stage_sa(config, engine)
+            graph, bug, target, chain = _stage_sa(config, engine, prepare_dir)
         with clock.stage("RAG"):
             usage = _stage_rag(config, engine, bug, prepare_dir)
         with clock.stage("Opt") as opt:
             summaries = SummaryCache(engine, _definition_source(config, graph))
             command = seedgen.select_command(
                 bug, usage, summaries.get(bug.vulnerable_function), engine)
-            executor = campaign.Executor(graph, prepare_dir / "exec", command,
+            executor = campaign.Executor(graph.ids, prepare_dir / "exec", command,
                                          config.exec_timeout,
                                          shlex.split(config.program_exec))
             outcome = _stage_opt(config, engine, graph, bug, usage, target, chain,
@@ -226,8 +228,10 @@ def cmd_prepare(config: ProjectConfig, opt_budget: float | None = None,
     return EXIT_OK
 
 
-def _stage_sa(config: ProjectConfig, engine: Engine):
+def _stage_sa(config: ProjectConfig, engine: Engine, prepare_dir: Path):
     graph = callgraph.load(config.graph_file)
+    _dump_json(prepare_dir / "targets.json",
+               {"graph_sha256": _sha256(config.graph_file), "ids": graph.ids})
     report_text = config.bug_report_file.read_text(encoding="utf-8")
     bug = knowledge.extract_bug_info(report_text, engine)
     target = graph.id_of(bug.vulnerable_function)
@@ -302,6 +306,24 @@ def _dump_json(path: Path, payload):
                     encoding="utf-8")
 
 
+def _sha256(path: Path) -> str:
+    return hashlib.sha256(path.read_bytes()).hexdigest()
+
+
+def _load_ids(prepare_dir: Path, graph_file: Path) -> dict[str, int]:
+    """The call graph's name->id map that prepare saved, once the graph file
+    is checked to be the one prepare read."""
+    path = prepare_dir / "targets.json"
+    try:
+        saved = json.loads(path.read_text(encoding="utf-8"))
+    except FileNotFoundError:
+        raise ReachFuzzError(f"no prepared target map at {path}; "
+                             "run prepare --force") from None
+    if saved["graph_sha256"] != _sha256(graph_file):
+        raise ReachFuzzError(f"{graph_file} changed since prepare; run prepare --force")
+    return saved["ids"]
+
+
 def _load_seeds(prepare_dir: Path, command: CommandLine) -> list[Seed]:
     seeds = []
     for path in sorted((prepare_dir / "seeds").glob("seed-*.bin")):
@@ -321,8 +343,8 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None, workers: int 
               file=sys.stderr)
         return EXIT_STAGE_FAILURE
     bundle = json.loads(bundle_path.read_text(encoding="utf-8"))
-    graph = callgraph.load(config.graph_file)
-    target = graph.id_of(bundle["target_function"])
+    ids = _load_ids(prepare_dir, config.graph_file)
+    target = ids.get(bundle["target_function"])
     if target is None:
         print("error: bundle target function is not in the call graph", file=sys.stderr)
         return EXIT_STAGE_FAILURE
@@ -367,7 +389,7 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None, workers: int 
         workers=workers,
     )
     fuzz_dir = config.work_dir / "fuzz"
-    stats = campaign.run(cfg, program, graph, fuzz_dir, strategies, rebuild)
+    stats = campaign.run(cfg, program, ids, fuzz_dir, strategies, rebuild)
     timings = campaign.load_stage_timings(prepare_dir / "stage_timings.json")
     report = campaign.render_report(timings, stats)
     (fuzz_dir / "report.txt").write_text(report, encoding="utf-8")

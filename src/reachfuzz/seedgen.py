@@ -38,6 +38,7 @@ SCRIPT_LIMITS = ((resource.RLIMIT_CPU, SCRIPT_CPU_LIMIT),
                  (resource.RLIMIT_FSIZE, SCRIPT_FILE_LIMIT), (resource.RLIMIT_CORE, 0))
 FILE_LIMIT_NOTE = (f"script files, stdout included, are capped at {SCRIPT_FILE_LIMIT} bytes: past "
                    "it a write fails with 'File too large', or SIGXFSZ kills the runtime")
+SCRIPT_ERROR_LIMIT = 4096  # bytes of a script's stderr, its end, kept for the repair prompt
 INPUT_DUMP_LIMIT = 4096
 COMMAND_RETRIES = 3
 SCRIPT_REPAIRS = 3
@@ -223,12 +224,29 @@ def _run_script(payload: str, runtime_label: str, sandbox: Path) -> tuple[bytes,
     returncode = process.wait(proc, SCRIPT_WALL_LIMIT)
     if returncode is None:
         return b"", "generator script exceeded its time limit"
-    stderr = err_path.read_bytes().decode("utf-8", errors="replace")
+    stderr = _tail(err_path)
     if returncode == -signal.SIGXFSZ or out_path.stat().st_size >= SCRIPT_FILE_LIMIT:
         return b"", f"{stderr}\n{FILE_LIMIT_NOTE}".lstrip()
     if returncode != 0:
         return b"", stderr or f"generator script exited {returncode}"
     return out_path.read_bytes(), stderr
+
+
+_CUT_NOTE = "[first {} bytes cut]\n"
+
+
+def _tail(path: Path) -> str:
+    """The file's text, or past ``SCRIPT_ERROR_LIMIT`` bytes a note of how many
+    bytes were cut and then its end, the two within the limit. A traceback is
+    at the end."""
+    size = path.stat().st_size
+    with open(path, "rb") as fh:
+        if size <= SCRIPT_ERROR_LIMIT:
+            return fh.read().decode("utf-8", errors="replace")
+        # the note with the cut count is no longer than this one, with the size
+        keep = SCRIPT_ERROR_LIMIT - len(_CUT_NOTE.format(size))
+        fh.seek(size - keep)
+        return _CUT_NOTE.format(size - keep) + fh.read(keep).decode("utf-8", errors="replace")
 
 
 def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None = None,

@@ -118,7 +118,7 @@ def started_servers(monkeypatch):
 
 @pytest.fixture
 def ppm_executor(ppm_graph, ppm_command, ppm_program_exec, tmp_path) -> campaign.Executor:
-    return campaign.Executor(ppm_graph, tmp_path / "exec", ppm_command, exec_timeout=5.0,
+    return campaign.Executor(ppm_graph.ids, tmp_path / "exec", ppm_command, exec_timeout=5.0,
                              program_exec=ppm_program_exec)
 
 
@@ -199,7 +199,7 @@ def format_answer(schema: AnswerSchema, values: dict[str, str | list[str]]) -> s
         elif f.kind == "list-of-lines":
             out.append(f"{f.label}:")
             items = value if isinstance(value, list) else [value]
-            out.extend(items)
+            out.extend(f"- {item}" for item in items)
         else:
             body = value if isinstance(value, str) else "\n".join(value)
             fence = "```"

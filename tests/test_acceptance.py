@@ -191,7 +191,7 @@ def test_mutator_repair_then_accept(catalog, ppm_runner):
 
 def test_mutator_rejects_giant_resize_with_bounded_regeneration(
         catalog, ppm_graph, ppm_command, ppm_program_exec, tmp_path):
-    executor = campaign.Executor(ppm_graph, tmp_path / "exec", ppm_command,
+    executor = campaign.Executor(ppm_graph.ids, tmp_path / "exec", ppm_command,
                                  exec_timeout=30.0, program_exec=ppm_program_exec)
     runner = executor.run
     engine = engine_from_rules(
@@ -239,7 +239,7 @@ def run_campaign(prepared, workdir, *, seeds, program, rng_seed, duration,
         duration_limit=duration, exec_timeout=5.0, rng_seed=rng_seed,
         mix_ratio=mix_ratio, refresh_period=refresh_period,
         stop_on_first=stop_on_first, workers=1)
-    return campaign.run(cfg, program, prepared["graph"], workdir)
+    return campaign.run(cfg, program, prepared["graph"].ids, workdir)
 
 
 # --- 6. directed campaign beats random-only ----------------------------------------

@@ -176,7 +176,7 @@ def test_chain_type_invariants():
 
 
 def test_observe_drops_unknown_names(branch_graph):
-    trace = observe(branch_graph, ["E", "A", "mystery", "B"])
+    trace = observe(branch_graph.ids, ["E", "A", "mystery", "B"])
     assert trace.reached == [E, A, B]
 
 

@@ -73,7 +73,7 @@ def test_execute_timeout(tmp_path):
     from reachfuzz.toys import toy_path
 
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, CommandLine("sleeper", ("@@",)), exec_timeout=0.2,
+    executor = Executor(graph.ids, tmp_path, CommandLine("sleeper", ("@@",)), exec_timeout=0.2,
                         program_exec=[sys.executable, str(toy_path("sleeper"))])
     result = executor.run(b"anything")
     assert result.exit_kind == "timeout"
@@ -81,7 +81,7 @@ def test_execute_timeout(tmp_path):
 
 def test_execute_missing_program(tmp_path):
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, CommandLine("no-such-binary-xyz", ("@@",)),
+    executor = Executor(graph.ids, tmp_path, CommandLine("no-such-binary-xyz", ("@@",)),
                         exec_timeout=1.0)
     with pytest.raises(Exception, match="spawn"):
         executor.run(b"x")
@@ -92,7 +92,7 @@ def test_execute_missing_trace_file_yields_empty_trace(tmp_path, caplog):
 
     # `true` ignores the trace protocol entirely, so no trace file appears
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, CommandLine("quiet", ("@@",)), exec_timeout=2.0,
+    executor = Executor(graph.ids, tmp_path, CommandLine("quiet", ("@@",)), exec_timeout=2.0,
                         program_exec=["true"])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
         result = executor.run(b"x")
@@ -103,7 +103,7 @@ def test_execute_missing_trace_file_yields_empty_trace(tmp_path, caplog):
 
 def test_execute_missing_trace_warns_once_and_counts(tmp_path, caplog):
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path, CommandLine("quiet", ("@@",)), exec_timeout=2.0,
+    executor = Executor(graph.ids, tmp_path, CommandLine("quiet", ("@@",)), exec_timeout=2.0,
                         program_exec=["true"])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
         for _ in range(3):
@@ -112,11 +112,25 @@ def test_execute_missing_trace_warns_once_and_counts(tmp_path, caplog):
     assert sum("trace file missing" in r.message for r in caplog.records) == 1
 
 
+def test_unknown_trace_name_warns_once_per_executor(ppm_graph, ppm_command, ppm_program_exec,
+                                                    tmp_path, caplog):
+    ids = {name: nid for name, nid in ppm_graph.ids.items() if name != "reject_input"}
+    executor = Executor(ids, tmp_path, ppm_command, 5.0, ppm_program_exec)
+    try:
+        with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
+            traces = [executor.run(b"not a ppm").trace.reached for _ in range(20)]
+    finally:
+        executor.close()
+    assert traces == [[ids["main"], ids["parse_header"]]] * 20
+    warnings = [r.message for r in caplog.records if "not in the call graph" in r.message]
+    assert len(warnings) == 1 and "reject_input" in warnings[0]
+
+
 # --- fork server ------------------------------------------------------------------
 
 @pytest.fixture(params=["fork-server", "spawn"])
 def backend_executor(request, ppm_graph, ppm_command, ppm_program_exec, tmp_path):
-    executor = Executor(ppm_graph, tmp_path / "exec", ppm_command, exec_timeout=5.0,
+    executor = Executor(ppm_graph.ids, tmp_path / "exec", ppm_command, exec_timeout=5.0,
                         program_exec=ppm_program_exec,
                         fork_server=request.param == "fork-server")
     yield executor
@@ -145,8 +159,8 @@ def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_progra
             for _ in range(rng.randint(1, 4)):
                 data = random_mutate(data, rng) or base
             inputs.append(data)
-    forked = Executor(ppm_graph, tmp_path / "fork", ppm_command, 5.0, ppm_program_exec)
-    spawned = Executor(ppm_graph, tmp_path / "spawn", ppm_command, 5.0, ppm_program_exec,
+    forked = Executor(ppm_graph.ids, tmp_path / "fork", ppm_command, 5.0, ppm_program_exec)
+    spawned = Executor(ppm_graph.ids, tmp_path / "spawn", ppm_command, 5.0, ppm_program_exec,
                        fork_server=False)
     kinds = set()
     try:
@@ -214,7 +228,7 @@ def test_fork_server_exit_status_matches_interpreter(tmp_path):
 def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, started_servers):
     # no program_exec: the command names its interpreter and script itself
     sleeper = CommandLine(sys.executable, (str(toy_path("sleeper")), "@@"))
-    executor = Executor(ppm_graph, tmp_path, sleeper, exec_timeout=0.5)
+    executor = Executor(ppm_graph.ids, tmp_path, sleeper, exec_timeout=0.5)
     try:
         for _ in range(2):
             start = time.monotonic()
@@ -242,7 +256,7 @@ def child_pids(stderr: str, count: int) -> list[int]:
     (["sh", "-c", "sleep 30 & echo child $! >&2; exit 0"], False),
 ], ids=["fork-server", "spawn", "shell"])
 def test_background_child_is_clean_and_ended(head, fork_server, tmp_path, started_servers):
-    executor = Executor(make_graph(["main"], []), tmp_path, CommandLine("bg", ("@@",)), 2.0,
+    executor = Executor(make_graph(["main"], []).ids, tmp_path, CommandLine("bg", ("@@",)), 2.0,
                         head, fork_server=fork_server)
     try:
         executor.run(b"warm-up")  # the fork server starts on first use
@@ -259,7 +273,7 @@ def test_background_child_is_clean_and_ended(head, fork_server, tmp_path, starte
 
 @pytest.mark.parametrize("fork_server", [True, False])
 def test_hanging_forker_times_out_and_leaves_nothing(fork_server, tmp_path, started_servers):
-    executor = Executor(make_graph(["main"], []), tmp_path, CommandLine("forker", ("@@",)),
+    executor = Executor(make_graph(["main"], []).ids, tmp_path, CommandLine("forker", ("@@",)),
                         1.0, [sys.executable, str(toy_path("forker"))], fork_server=fork_server)
     try:
         result = executor.run(b"anything")
@@ -279,7 +293,7 @@ def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_serve
         "sys.stderr.write('read ' + open(sys.argv[1]).read() + '\\n')\n"
         "sys.exit(3)\n")
     graph = make_graph(["main"], [])
-    executor = Executor(graph, tmp_path / "exec", CommandLine("nomain", ("@@",)), 5.0,
+    executor = Executor(graph.ids, tmp_path / "exec", CommandLine("nomain", ("@@",)), 5.0,
                         [sys.executable, str(script)])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
         results = [executor.run(data) for data in (b"one", b"two")]
@@ -294,10 +308,10 @@ def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_serve
 
 def test_close_and_campaign_end_stop_fork_servers(
         tmp_path, ppm_graph, ppm_command, ppm_program_exec, started_servers):
-    executor = Executor(ppm_graph, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
+    executor = Executor(ppm_graph.ids, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
     assert executor.run(PPM_SEED).exit_kind == "clean"
     config = ppm_campaign_config(ppm_command, duration_limit=0.5, stop_on_first=False)
-    stats = campaign.run(config, None, ppm_graph, tmp_path / "c")
+    stats = campaign.run(config, None, ppm_graph.ids, tmp_path / "c")
     assert stats.total_execs > 0
     own, campaigns = started_servers
     assert own is not None and campaigns is not None
@@ -324,7 +338,7 @@ def test_target_sees_no_llm_settings(fork_server, tmp_path, monkeypatch, started
     monkeypatch.setenv("RF_LLM_API_KEY", "secret-key")
     script = tmp_path / "env.py"
     script.write_text(ENV_SCRIPT)
-    executor = Executor(make_graph(["main"], []), tmp_path / "exec",
+    executor = Executor(make_graph(["main"], []).ids, tmp_path / "exec",
                         CommandLine("env", ("@@",)), 5.0, [sys.executable, str(script)],
                         fork_server=fork_server)
     try:
@@ -447,7 +461,7 @@ def test_config_validation(ppm_command):
 def test_run_finds_target_crash(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command)
     program = mutator.parse_program(CRASH_PROGRAM)
-    stats = campaign.run(config, program, ppm_graph, tmp_path / "c")
+    stats = campaign.run(config, program, ppm_graph.ids, tmp_path / "c")
     assert stats.found_target_crash
     assert stats.time_to_first_target_crash is not None
     assert stats.execs_reaching_target >= 1
@@ -459,14 +473,14 @@ def test_run_finds_target_crash(tmp_path, ppm_graph, ppm_command):
 
 def test_run_random_only_flagged(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, duration_limit=0.5)
-    stats = campaign.run(config, None, ppm_graph, tmp_path / "c")
+    stats = campaign.run(config, None, ppm_graph.ids, tmp_path / "c")
     assert stats.random_only
     assert stats.total_execs > 0
 
 
 def test_run_zero_duration(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, duration_limit=0.0)
-    stats = campaign.run(config, None, ppm_graph, tmp_path / "c")
+    stats = campaign.run(config, None, ppm_graph.ids, tmp_path / "c")
     assert stats.total_execs == 0
     assert stats.time_to_first_target_crash is None
     assert not stats.crashes
@@ -476,7 +490,7 @@ def test_run_corpus_grows_monotonically(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, duration_limit=1.5, stop_on_first=False)
     program = mutator.parse_program(CRASH_PROGRAM)
     workdir = tmp_path / "c"
-    campaign.run(config, program, ppm_graph, workdir)
+    campaign.run(config, program, ppm_graph.ids, workdir)
     covered: set[int] = set()
     for line in (workdir / "events.log").read_text().splitlines():
         event = json.loads(line)
@@ -491,7 +505,7 @@ def test_run_stop_on_first_records_nothing_after_crash(
     config = ppm_campaign_config(ppm_command)
     program = mutator.parse_program(CRASH_PROGRAM)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, program, ppm_graph, workdir)
+    stats = campaign.run(config, program, ppm_graph.ids, workdir)
     events = [json.loads(line) for line in (workdir / "events.log").read_text().splitlines()]
     crash_execs = [e["exec"] for e in events if e["event"] == "crash" and e["reached_target"]]
     assert crash_execs
@@ -504,7 +518,7 @@ def test_run_records_each_crash_input_once(tmp_path, ppm_graph, ppm_command):
                                  mix_ratio=1.0)
     program = mutator.parse_program(CRASH_PROGRAM)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, program, ppm_graph, workdir)
+    stats = campaign.run(config, program, ppm_graph.ids, workdir)
     hashes = [c.input_hash for c in stats.crashes]
     assert len(hashes) == len(set(hashes))
     events = [json.loads(line) for line in (workdir / "events.log").read_text().splitlines()]
@@ -523,7 +537,7 @@ def test_run_counts_the_clamps_of_every_worker(tmp_path, ppm_graph, ppm_command)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        stats = campaign.run(config, program, ppm_graph, tmp_path / "c")
+        stats = campaign.run(config, program, ppm_graph.ids, tmp_path / "c")
     finally:
         sys.setswitchinterval(interval)
     assert stats.total_execs > 0
@@ -536,7 +550,7 @@ def test_run_reproducible_events_and_stats(tmp_path, ppm_graph, ppm_command):
     runs = []
     for name in ("one", "two"):
         config = ppm_campaign_config(ppm_command, rng_seed=1234)
-        stats = campaign.run(config, program, ppm_graph,
+        stats = campaign.run(config, program, ppm_graph.ids,
                              tmp_path / name)
         runs.append((stats, (tmp_path / name / "events.log").read_bytes()))
     assert runs[0][0] == runs[1][0]
@@ -547,7 +561,7 @@ def test_run_refresh_events_counted(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, duration_limit=2.0, refresh_period=0.5,
                                  stop_on_first=False)
     program = mutator.parse_program(CRASH_PROGRAM)
-    stats = campaign.run(config, program, ppm_graph, tmp_path / "c")
+    stats = campaign.run(config, program, ppm_graph.ids, tmp_path / "c")
     assert 3 <= stats.refresh_events <= 5  # floor(2.0 / 0.5) give or take one
 
 
@@ -564,7 +578,7 @@ def test_run_persists_refreshed_program_with_trial(tmp_path, ppm_graph, ppm_comm
     config = ppm_campaign_config(ppm_command, duration_limit=1.0, refresh_period=0.3,
                                  stop_on_first=False)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, program, ppm_graph, workdir,
+    stats = campaign.run(config, program, ppm_graph.ids, workdir,
                          rebuild=rebuild)
     assert stats.refresh_events >= 1
     assert (workdir / "mutators" / "active-1.mut").exists()
@@ -575,7 +589,7 @@ def test_run_persists_refreshed_program_with_trial(tmp_path, ppm_graph, ppm_comm
 def test_run_multi_worker_smoke(tmp_path, ppm_graph, ppm_command):
     config = ppm_campaign_config(ppm_command, workers=2)
     program = mutator.parse_program(CRASH_PROGRAM)
-    stats = campaign.run(config, program, ppm_graph, tmp_path / "c")
+    stats = campaign.run(config, program, ppm_graph.ids, tmp_path / "c")
     assert stats.found_target_crash
 
 
@@ -606,7 +620,7 @@ def test_llm_rebuild_swaps_in_program_and_strategies(catalog, tmp_path, ppm_grap
     config = ppm_campaign_config(ppm_command, duration_limit=2.0, refresh_period=0.5,
                                  stop_on_first=False)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph, workdir,
+    stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph.ids, workdir,
                          [MutationStrategy("old idea", "")], rebuild)
     assert len(priors) == stats.refresh_events >= 2
     assert priors[0] == ["old idea"]
@@ -638,7 +652,7 @@ def test_llm_rebuild_failure_keeps_program(catalog, tmp_path, ppm_graph, ppm_com
     config = ppm_campaign_config(ppm_command, duration_limit=1.0, refresh_period=0.3,
                                  stop_on_first=False, mix_ratio=1.0)
     workdir = tmp_path / "c"
-    stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph, workdir,
+    stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph.ids, workdir,
                          [MutationStrategy("old", "")], rebuild)
     assert stats.refresh_events >= 1
     refreshes = [e for e in read_events(workdir) if e["event"] == "refresh"]
@@ -687,7 +701,7 @@ def test_refresh_runs_while_other_workers_fuzz(tmp_path, ppm_graph, ppm_command,
 
     config = ppm_campaign_config(ppm_command, duration_limit=1.5, refresh_period=0.2,
                                  stop_on_first=False, workers=2)
-    stats = campaign.run(config, program, ppm_graph, tmp_path / "c",
+    stats = campaign.run(config, program, ppm_graph.ids, tmp_path / "c",
                          rebuild=rebuild)
     assert waited == [True], "the other worker ran fewer than 20 execs during a refresh"
     assert stats.refresh_events >= 1
@@ -706,7 +720,7 @@ def test_worker_error_stops_campaign_and_is_raised(workers, tmp_path, ppm_graph,
                                  workers=workers)
     start = time.monotonic()
     with pytest.raises(OSError, match="5th exec"):
-        campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph,
+        campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph.ids,
                      tmp_path / "c")
     assert time.monotonic() - start < 5.0
     assert calls[0] <= 5 + (workers - 1)  # each other worker ends its exec in flight
@@ -715,7 +729,7 @@ def test_worker_error_stops_campaign_and_is_raised(workers, tmp_path, ppm_graph,
 def test_worker_error_keeps_events_recorded_before_it(tmp_path, ppm_graph, ppm_command, monkeypatch):
     program = mutator.parse_program(CRASH_PROGRAM)
     config = ppm_campaign_config(ppm_command, duration_limit=2.0, stop_on_first=False)
-    campaign.run(config, program, ppm_graph, tmp_path / "ref")
+    campaign.run(config, program, ppm_graph.ids, tmp_path / "ref")
     reference = read_events(tmp_path / "ref")
     assert reference[-1]["event"] == "finish" and reference[-1]["total_execs"] >= 40
 
@@ -725,7 +739,7 @@ def test_worker_error_keeps_events_recorded_before_it(tmp_path, ppm_graph, ppm_c
 
     counting_executor_run(monkeypatch, on_call)
     with pytest.raises(OSError, match="40th exec"):
-        campaign.run(config, program, ppm_graph, tmp_path / "c")
+        campaign.run(config, program, ppm_graph.ids, tmp_path / "c")
     events = read_events(tmp_path / "c")
     kinds = [e["event"] for e in events]
     assert kinds[0] == "start" and "finish" not in kinds
@@ -742,7 +756,7 @@ def test_shared_state_survives_many_workers_and_refreshes(tmp_path, ppm_graph, p
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph,
+        stats = campaign.run(config, mutator.parse_program(CRASH_PROGRAM), ppm_graph.ids,
                              workdir)
     finally:
         sys.setswitchinterval(interval)

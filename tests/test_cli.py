@@ -4,6 +4,7 @@ import hashlib
 import itertools
 import json
 import os
+import shutil
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 import reachfuzz
 from conftest import dedent
-from reachfuzz import callgraph, cli, llm_client
+from reachfuzz import callgraph, cli, demo, llm_client
 from reachfuzz.campaign import load_stats
 from reachfuzz.cli import (
     EXIT_ISOLATED_TARGET,
@@ -278,6 +279,58 @@ def test_demo_prepare_computes_the_distance_map_twice(demo_config, monkeypatch):
     monkeypatch.setattr(callgraph, "distances_to", counting_distances_to)
     assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
     assert len(targets) == 2 and len(set(targets)) == 1
+
+
+@pytest.fixture(scope="module")
+def prepared_demo(tmp_path_factory) -> Path:
+    """A demo workspace after one prepare; tests change only copies of it."""
+    config = demo.build_workspace(tmp_path_factory.mktemp("prepared") / "demo")
+    assert cli.main(["prepare", "--config", str(config)]) == EXIT_OK
+    return config
+
+
+@pytest.fixture
+def prepared_config(prepared_demo, tmp_path) -> Path:
+    shutil.copytree(prepared_demo.parent, tmp_path / "demo")
+    return tmp_path / "demo" / prepared_demo.name
+
+
+def targets_file(config: Path) -> Path:
+    return config.parent / "work" / "prepare" / "targets.json"
+
+
+def test_prepared_target_map_is_the_graph_map(prepared_config):
+    # the map fuzz reads against the graph parse it replaces
+    saved = json.loads(targets_file(prepared_config).read_text(encoding="utf-8"))
+    graph = callgraph.load(load_config(prepared_config).graph_file)
+    assert saved["ids"] == graph.ids
+
+
+def test_two_prepares_write_the_same_target_map(prepared_demo, prepared_config):
+    assert cli.main(["prepare", "--config", str(prepared_config), "--force"]) == EXIT_OK
+    assert targets_file(prepared_config).read_bytes() == targets_file(prepared_demo).read_bytes()
+
+
+def test_fuzz_does_not_load_the_call_graph(prepared_config, monkeypatch):
+    def refuse(path):
+        raise AssertionError(f"fuzz loaded {path}")
+
+    monkeypatch.setattr(callgraph, "load", refuse)
+    assert cli.main(["fuzz", "--config", str(prepared_config), "--duration", "30s"]) == EXIT_OK
+
+
+def test_fuzz_refuses_a_graph_changed_since_prepare(prepared_config, capsys):
+    graph_file = prepared_config.parent / "callgraph.txt"
+    graph_file.write_text(graph_file.read_text(encoding="utf-8") + "node 5 extra ppmcheck.py\n",
+                          encoding="utf-8")
+    assert cli.main(["fuzz", "--config", str(prepared_config)]) == EXIT_STAGE_FAILURE
+    assert "prepare --force" in capsys.readouterr().err
+
+
+def test_fuzz_refuses_a_missing_target_map(prepared_config, capsys):
+    targets_file(prepared_config).unlink()
+    assert cli.main(["fuzz", "--config", str(prepared_config)]) == EXIT_STAGE_FAILURE
+    assert "prepare --force" in capsys.readouterr().err
 
 
 def test_exit_codes_are_distinct_and_stable():

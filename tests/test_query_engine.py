@@ -3,7 +3,7 @@ from __future__ import annotations
 import random
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import client_from_rules, dedent, engine_from_rules, format_answer
@@ -242,6 +242,7 @@ def schema_and_values(draw):
 
 @settings(max_examples=120, deadline=None)
 @given(schema_and_values())
+@example((AnswerSchema((AnswerField("a", "list-of-lines"),)), {"a": ["- 0"]}))
 def test_format_parse_round_trip(schema_values):
     # embedding an answer's values into the schema's own shape and parsing it
     # back is the identity on required fields

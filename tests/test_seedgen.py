@@ -177,6 +177,31 @@ def test_materialize_script_repair_bound(catalog, tmp_path):
     assert engine.client.accounting().total_requests == 3  # SCRIPT_REPAIRS
 
 
+def test_repair_prompt_gets_the_end_of_a_flood_of_stderr(catalog, tmp_path):
+    fixed = 'import sys\nsys.stdout.buffer.write(b"ok")\n'
+    engine = engine_from_rules(catalog, (
+        "input-generator script below failed",
+        f"PAYLOAD:\n```\n{fixed}```",
+    ))
+    fillers = []
+    run = engine.run
+
+    def recording(task, values, **kwargs):
+        fillers.append(values)
+        return run(task, values, **kwargs)
+
+    engine.run = recording
+    flood = "x" * (1 << 20) + "\nTraceback: the last line\n"
+    spec = GeneratorSpec("script", f"import sys\nsys.stderr.write('x' * {1 << 20} + "
+                                   "'\\nTraceback: the last line\\n')\n")
+    assert materialize(spec, tmp_path / "sb", engine) == b"ok"
+    error = fillers[0]["error_output"]
+    assert len(error) <= seedgen.SCRIPT_ERROR_LIMIT
+    note, kept = error.split("\n", 1)
+    assert note == f"[first {len(flood) - len(kept)} bytes cut]"
+    assert flood.endswith(kept) and kept.endswith("Traceback: the last line\n")
+
+
 def test_materialize_script_without_engine(tmp_path):
     spec = GeneratorSpec("script", "import sys; sys.exit(3)\n")
     with pytest.raises(MaterializeError):
@@ -313,7 +338,7 @@ def test_optimize_provenance_deterministic(catalog, ppm_graph, ppm_command,
     from reachfuzz.campaign import Executor
 
     def run_once(tag: str):
-        executor = Executor(ppm_graph, tmp_path / tag, ppm_command, 5.0, ppm_program_exec)
+        executor = Executor(ppm_graph.ids, tmp_path / tag, ppm_command, 5.0, ppm_program_exec)
         engine = engine_from_rules(catalog, CHAIN_FIX)
         chain = callgraph.complete_chain(ppm_graph, ppm_graph.id_of("read_pixels"))
         return optimize_along_chain(
@@ -407,7 +432,7 @@ def test_functionality_fallback_hands_off_to_chain(catalog, ppm_command,
     assert callgraph.complete_chain(graph, target) is None
     from reachfuzz.campaign import Executor
 
-    executor = Executor(graph, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
+    executor = Executor(graph.ids, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
     runner = executor.run
     engine = engine_from_rules(catalog, NEIGHBOR_FIX)
     outcome = optimize_by_functionality(
@@ -435,7 +460,7 @@ def test_functionality_fallback_hands_off_without_recomputing(catalog, ppm_comma
     target = graph.id_of("read_pixels")
     from reachfuzz.campaign import Executor
 
-    executor = Executor(graph, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
+    executor = Executor(graph.ids, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
     executed = []
 
     def runner(data):
@@ -473,7 +498,7 @@ def test_functionality_fallback_partial_when_probes_fail(catalog, ppm_command,
     target = graph.id_of("read_pixels")
     from reachfuzz.campaign import Executor
 
-    executor = Executor(graph, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
+    executor = Executor(graph.ids, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
     runner = executor.run
     engine = engine_from_rules(catalog, (
         "execute the caller function",

@@ -19,6 +19,7 @@ import logging
 import random
 import re
 import shlex
+import shutil
 import signal
 import sys
 import threading
@@ -172,7 +173,10 @@ def cmd_prepare(config: ProjectConfig, opt_budget: float | None = None,
     if bundle_path.exists() and not force:
         print(f"error: {bundle_path} already exists; use --force to redo", file=sys.stderr)
         return EXIT_STAGE_FAILURE
-    prepare_dir.mkdir(parents=True, exist_ok=True)
+    # nothing of an earlier prepare is reused, so none of it outlives this one
+    if prepare_dir.exists():
+        shutil.rmtree(prepare_dir)
+    prepare_dir.mkdir(parents=True)
     opt_budget = opt_budget if opt_budget is not None else config.opt_budget
 
     client = build_client(config)
@@ -291,7 +295,7 @@ def _stage_mutator(config: ProjectConfig, engine: Engine, bug: BugInfo,
         rng=random.Random(config.rng_seed),
     )
     mutator_dir = prepare_dir / "mutator"
-    mutator_dir.mkdir(exist_ok=True)
+    mutator_dir.mkdir()
     if build.accepted:
         (mutator_dir / "program.mut").write_text(build.program.render() + "\n",
                                                  encoding="utf-8")

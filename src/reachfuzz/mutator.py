@@ -23,6 +23,7 @@ log = logging.getLogger(__name__)
 
 DEFAULT_REFRESH_PERIOD = 3600.0
 DEFAULT_TRIAL_DURATION = 5.0
+TRIAL_EXECS = 100  # a trial stops after this many execs, or at its duration
 DEFAULT_MIN_EXECS_PER_SEC = 10.0
 MAX_REGENERATIONS = 3
 SYNTHESIS_REPAIRS = 3
@@ -393,10 +394,12 @@ def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
               rng: random.Random | None = None) -> TrialReport:
     """Short mutate-and-execute run validating stability and throughput.
 
-    Harness crashes are faults in the mutation machinery itself (interpreter
-    errors, spawn failures); the target crashing is a finding, not a defect.
-    A program whose outputs never differ from the seed, or are always empty,
-    is rejected as invalid.
+    The run stops after ``TRIAL_EXECS`` execs, or sooner once ``duration``
+    seconds have passed, which caps it on a slow target. Harness crashes are
+    faults in the mutation machinery itself (interpreter errors, spawn
+    failures); the target crashing is a finding, not a defect. A program whose
+    outputs never differ from the seed, or are always empty, is rejected as
+    invalid.
     """
     rng = rng or random.Random(0)
     start = time.monotonic()
@@ -404,7 +407,7 @@ def trial_run(program: MutationProgram, seed_bytes: bytes, runner,
     harness_crashes = 0
     target_crashes = 0
     produced_change = False
-    while time.monotonic() - start < duration:
+    while execs < TRIAL_EXECS and time.monotonic() - start < duration:
         try:
             data, _ = apply(program, seed_bytes, rng)
         except Exception as exc:  # noqa: BLE001 - harness instability is the point

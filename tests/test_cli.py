@@ -311,6 +311,52 @@ def test_two_prepares_write_the_same_target_map(prepared_demo, prepared_config):
     assert targets_file(prepared_config).read_bytes() == targets_file(prepared_demo).read_bytes()
 
 
+def test_two_prepares_write_the_same_trial_apart_from_its_rate(prepared_demo, prepared_config):
+    assert cli.main(["prepare", "--config", str(prepared_config), "--force"]) == EXIT_OK
+    trials = []
+    for config in (prepared_demo, prepared_config):
+        trial_path = config.parent / "work" / "prepare" / "mutator" / "trial.json"
+        trial = json.loads(trial_path.read_text(encoding="utf-8"))
+        del trial["execs_per_sec"]
+        trials.append(trial)
+    assert trials[0] == trials[1]
+
+
+def test_fuzz_refuses_what_a_failed_prepare_left(prepared_config, capsys):
+    # the graph changes, then a prepare --force fails after SA has saved the new map
+    graph_file = prepared_config.parent / "callgraph.txt"
+    graph_file.write_text(graph_file.read_text(encoding="utf-8") + "node 5 extra ppmcheck.py\n",
+                          encoding="utf-8")
+    fixture = prepared_config.parent / "ppmcheck.fixture"
+    fixture.write_text(fixture.read_text(encoding="utf-8").replace(
+        "match: Provide a bug analysis report", "match: nothing asks for this"), encoding="utf-8")
+    assert cli.main(["prepare", "--config", str(prepared_config), "--force"]) == EXIT_STAGE_FAILURE
+    assert "prepare failed in stage Mutator" in capsys.readouterr().err
+    assert cli.main(["fuzz", "--config", str(prepared_config)]) == EXIT_STAGE_FAILURE
+    assert "run prepare first" in capsys.readouterr().err
+
+
+def test_a_rejected_re_prepare_leaves_no_mutation_program(prepared_config, capsys):
+    prepare_dir = prepared_config.parent / "work" / "prepare"
+    stale_seed = prepare_dir / "seeds" / "seed-9-0.bin"
+    stale_seed.write_bytes(b"P6\n1 1\n255\n\x00\x00\x00")
+    fixture = prepared_config.parent / "ppmcheck.fixture"
+    program = ("Overwrite(@width_digit=3, 39)\n# and shave the tail so the body falls short\n"
+               "DeleteRange(end-4, 4)\n")
+    text = fixture.read_text(encoding="utf-8")
+    assert program in text
+    # an always-empty output is rejected-invalid on every regeneration
+    fixture.write_text(text.replace(program, "ResizeTo(0, 0x00)\n"), encoding="utf-8")
+    assert cli.main(["prepare", "--config", str(prepared_config), "--force"]) == EXIT_OK
+    bundle = json.loads((prepare_dir / "bundle.json").read_text(encoding="utf-8"))
+    assert not bundle["mutator_accepted"]
+    assert sorted(p.name for p in (prepare_dir / "mutator").iterdir()) == ["strategies.json"]
+    assert not stale_seed.exists()
+    capsys.readouterr()
+    assert cli.main(["fuzz", "--config", str(prepared_config)]) == EXIT_STAGE_FAILURE
+    assert "--random-only" in capsys.readouterr().err
+
+
 def test_fuzz_does_not_load_the_call_graph(prepared_config, monkeypatch):
     def refuse(path):
         raise AssertionError(f"fuzz loaded {path}")

@@ -5,7 +5,8 @@ import time
 
 import pytest
 
-from conftest import HarnessFault, declared_growth, dedent, engine_from_rules, random_program
+from conftest import (PPM_SEED, HarnessFault, declared_growth, dedent, engine_from_rules,
+                      random_program)
 from reachfuzz import llm_client, mutator
 from reachfuzz.errors import DslError, TaskError
 from reachfuzz.knowledge import BugInfo, FunctionSummary
@@ -396,6 +397,57 @@ def test_trial_counts_target_crashes_without_rejecting():
                        min_execs_per_sec=10)
     assert report.verdict == "accepted"
     assert report.target_crashes == report.execs
+
+
+def test_trial_stops_after_its_exec_budget():
+    calls = []
+
+    def counting_runner(data):
+        calls.append(data)
+        return FakeResult()
+
+    report = trial_run(prog("SetByte(0, 0x41)"), b"zz", counting_runner, duration=60)
+    assert report.verdict == "accepted"
+    assert len(calls) == report.execs == mutator.TRIAL_EXECS
+
+
+def spawn_fails_third_time():
+    calls = []
+
+    def run(data):
+        calls.append(data)
+        if len(calls) == 3:
+            raise OSError("cannot spawn the target")
+        return FakeResult()
+    return run
+
+
+def sleeping_runner(data):
+    time.sleep(0.15)
+    return FakeResult()
+
+
+# verdict -> (program, seed, a fresh runner from the test's request, trial
+# duration); the accepted program is the demo's, run on the Python toy
+TRIAL_ORACLE = {
+    "accepted": ("Overwrite(3, 39)\nDeleteRange(end-4, 4)", PPM_SEED,
+                 lambda request: request.getfixturevalue("ppm_runner"), 1.0),
+    "rejected-invalid": ("SetByte(0, 0x7a)", b"zz", lambda request: fast_runner, 0.2),
+    "rejected-crash": ("SetByte(0, 0x41)", b"zz", lambda request: spawn_fails_third_time(), 0.2),
+    "rejected-slow": ("SetByte(0, 0x41)", b"zz", lambda request: sleeping_runner, 0.3),
+}
+
+
+@pytest.mark.parametrize("verdict", sorted(TRIAL_ORACLE))
+def test_budgeted_trial_gives_the_verdict_of_the_time_box(verdict, request, monkeypatch):
+    # the time box the exec budget replaced: a budget no trial reaches
+    text, seed, runner, duration = TRIAL_ORACLE[verdict]
+    budgeted = trial_run(prog(text), seed, runner(request), duration=duration,
+                         min_execs_per_sec=10)
+    monkeypatch.setattr(mutator, "TRIAL_EXECS", 1 << 62)
+    boxed = trial_run(prog(text), seed, runner(request), duration=duration,
+                      min_execs_per_sec=10)
+    assert budgeted.verdict == boxed.verdict == verdict
 
 
 STRATEGY_RESPONSE = "STRATEGIES:\n- grow declared size :: overruns the buffer"

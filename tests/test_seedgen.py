@@ -233,6 +233,15 @@ def test_endless_generator_output_fails_fast_within_the_cap(tmp_path):
     assert (tmp_path / "sb" / "generator.out").stat().st_size == seedgen.SCRIPT_FILE_LIMIT
 
 
+def test_generator_file_past_the_cap_fails_and_stops_at_the_cap(tmp_path):
+    spec = GeneratorSpec("script", "with open('big.bin', 'wb') as out:\n"
+                         "    while True:\n        out.write(b'A' * 65536)\n")
+    with pytest.raises(MaterializeError) as failure:
+        materialize(spec, tmp_path / "sb")
+    assert "File too large" in str(failure.value)
+    assert (tmp_path / "sb" / "big.bin").stat().st_size == seedgen.SCRIPT_FILE_LIMIT
+
+
 def test_generator_grandchild_neither_delays_nor_outlives_it(tmp_path):
     spec = GeneratorSpec("script", "import subprocess\n"
                          "child = subprocess.Popen(['sleep', '30'])\n"

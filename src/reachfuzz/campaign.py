@@ -64,10 +64,11 @@ class Executor:
     An argv of the form ``<python interpreter> <script>.py`` runs through a
     fork server (``forkserver.py``) that the executor starts on first use
     and restarts on the next input after it dies: the script is loaded once
-    and each input runs in a forked child. Every other argv, a script the
-    server cannot preload, and every argv when ``fork_server`` is false (the
-    reference the tests compare the server against) spawn one process per
-    input. ``close()`` stops the server.
+    and each input runs in a forked child, which serves many inputs for a
+    script that declares ``REACHFUZZ_PERSISTENT = True``. Every other argv,
+    a script the server cannot preload, and every argv when ``fork_server``
+    is false (the reference the tests compare the server against) spawn one
+    process per input. ``close()`` stops the server.
     """
 
     def __init__(self, ids: dict[str, int], workdir: str | Path, command: CommandLine,
@@ -85,7 +86,9 @@ class Executor:
         self._stderr_path = workdir / f"stderr-{tag}.log"
         # Held open: closing a truncated, rewritten file makes ext4 flush it (~60 us).
         self._stderr_fd = os.open(self._stderr_path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        self._input_fd = os.open(self._input_path, os.O_WRONLY | os.O_CREAT, 0o644)
         weakref.finalize(self, os.close, self._stderr_fd)
+        weakref.finalize(self, os.close, self._input_fd)
         head = program_exec or [command.program]
         self.argv = tuple(head + [arg.replace("@@", str(self._input_path))
                                   for arg in command.args])
@@ -99,7 +102,7 @@ class Executor:
             # once while the server loads it, may append to the trace file.
             self.server = ForkServer.start(self.argv, self.env, self._stderr_path)
             self.fork_server = self.server is not None
-        self._input_path.write_bytes(data)
+        self._write_input(data)
         self._trace_path.unlink(missing_ok=True)
         if self.server is not None:
             try:
@@ -125,6 +128,15 @@ class Executor:
         if self.server is not None:
             self.server.close()
             self.server = None
+
+    def _write_input(self, data: bytes):
+        """Rewrite the input file in place, through the descriptor held open."""
+        if os.fstat(self._input_fd).st_nlink == 0:  # the target removed it
+            fd = os.open(self._input_path, os.O_WRONLY | os.O_CREAT, 0o644)
+            os.dup2(fd, self._input_fd, inheritable=False)  # the number the finalizer closes
+            os.close(fd)
+        os.pwrite(self._input_fd, data, 0)
+        os.ftruncate(self._input_fd, len(data))
 
     def _spawn(self) -> int | None:
         """One process for one input: its returncode, or None on timeout."""
@@ -165,6 +177,7 @@ class Executor:
 FORKSERVER_SCRIPT = Path(__file__).with_name("forkserver.py")
 FORKSERVER_START_TIMEOUT = 10.0  # seconds for the helper to load the script
 _PYTHON = re.compile(r"python[0-9.]*")
+DIED = b"died "  # starts the helper's reply for a child that has ended
 
 
 def _preloadable(argv: tuple[str, ...]) -> bool:
@@ -176,14 +189,18 @@ def _preloadable(argv: tuple[str, ...]) -> bool:
 class ForkServer:
     """Orchestrator side of one ``forkserver.py`` helper process.
 
-    The helper serves one fixed argv; each request forks one child, which leads
-    its own process group. It is single-threaded and owned by one executor, so
-    no orchestrator thread ever forks. ``close()``, collecting the server and
-    interpreter exit stop the helper, all through one finalizer.
+    The helper serves one fixed argv. It forks a child, which leads its own
+    process group and serves one input, or up to ``PERSISTENT_INPUTS`` of a
+    script that opts in; the reply protocol is in ``forkserver.py``. The helper
+    is single-threaded and owned by one executor, so no orchestrator thread
+    ever forks. ``close()`` kills a child waiting for its next input, then
+    stops the helper; collecting the server and interpreter exit stop the
+    helper too, all through one finalizer.
     """
 
     def __init__(self, proc):
         self.proc = proc
+        self.child: int | None = None  # the pid of a child that waits for the next input
         self._finalizer = weakref.finalize(self, _stop_helper, proc)
 
     @classmethod
@@ -212,22 +229,39 @@ class ForkServer:
 
     def run(self, timeout: float) -> int | None:
         """Run one input: its returncode, or None when its group was killed past
-        the timeout. Raises ``EOFError`` when the helper is gone."""
+        the timeout. Raises ``EOFError`` when the helper is gone, or sends no
+        pid within the timeout."""
         try:
             self.proc.stdin.write(b"\n")
-            pid = int(self.proc.stdout.readline())
+            self.child = None
+            reply = self._reply(timeout)
+            while reply and reply.startswith(DIED):  # a child that ended between inputs
+                reply = self._reply(timeout)
+            pid = int(reply)  # TypeError past the timeout, ValueError once the helper is gone
             reply = None
             try:
                 reply = self._reply(timeout)
             finally:
                 if not reply:  # past the timeout, helper gone, or interrupted
                     process.kill_group(pid)
-            status = int(reply or self._reply(None))  # after a kill, the helper reaps it
-        except (OSError, ValueError):
+            if reply is None:  # killed past the timeout: wait until the helper reaps it
+                for _ in range(2):  # the child may have replied as it was killed
+                    if self._reply(None).startswith(DIED):
+                        return None
+                raise EOFError("the fork server is gone")
+            if reply.startswith(DIED):
+                status = int(reply[len(DIED):])
+            else:
+                status = int(reply)
+                self.child = pid  # idle until the next request
+        except (OSError, TypeError, ValueError):
             raise EOFError("the fork server is gone") from None
-        return os.waitstatus_to_exitcode(status) if reply else None
+        return os.waitstatus_to_exitcode(status)
 
     def close(self):
+        if self.child is not None:  # alive and unreaped, so its pid is still its group's id
+            process.kill_group(self.child)
+            self.child = None
         self._finalizer()
 
     def _reply(self, timeout: float | None) -> bytes | None:

@@ -13,6 +13,8 @@ import os
 import signal
 import sys
 
+REACHFUZZ_PERSISTENT = True
+
 
 def trace(name):
     path = os.environ.get("RF_TRACE_FILE")

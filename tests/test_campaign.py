@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import random
+import signal
 import subprocess
 import sys
 import threading
@@ -13,7 +14,7 @@ from pathlib import Path
 import pytest
 
 from conftest import PPM_CRASH, PPM_SEED, make_graph, process_gone, processes_end
-from reachfuzz import campaign, mutator
+from reachfuzz import campaign, forkserver, mutator
 from reachfuzz.campaign import (
     CampaignConfig,
     CampaignStats,
@@ -149,6 +150,28 @@ def children_of(pid: int) -> list[int]:
     return children
 
 
+OPT_IN = "REACHFUZZ_PERSISTENT = True\n"
+
+
+def opted_out_toy(name: str, tmp_path: Path) -> Path:
+    """A copy of a toy that opts in to persistent mode, without its declaration."""
+    text = toy_path(name).read_text()
+    assert OPT_IN in text
+    path = tmp_path / f"{name}.py"
+    path.write_text(text.replace(OPT_IN, ""))
+    return path
+
+
+def opted_in_script(text: str, name: str, tmp_path: Path) -> Path:
+    path = tmp_path / f"{name}.py"
+    path.write_text(OPT_IN + text)
+    return path
+
+
+def outcome(result) -> tuple:
+    return (result.exit_kind, result.crash_class, result.trace.reached, result.stderr_excerpt)
+
+
 def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_program_exec,
                                               tmp_path, started_servers):
     rng = random.Random(2024)
@@ -159,21 +182,24 @@ def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_progra
             for _ in range(rng.randint(1, 4)):
                 data = random_mutate(data, rng) or base
             inputs.append(data)
-    forked = Executor(ppm_graph.ids, tmp_path / "fork", ppm_command, 5.0, ppm_program_exec)
+    persistent = Executor(ppm_graph.ids, tmp_path / "persistent", ppm_command, 5.0,
+                          ppm_program_exec)
+    per_input = Executor(ppm_graph.ids, tmp_path / "per-input", ppm_command, 5.0,
+                         [sys.executable, str(opted_out_toy("ppmcheck", tmp_path))])
     spawned = Executor(ppm_graph.ids, tmp_path / "spawn", ppm_command, 5.0, ppm_program_exec,
                        fork_server=False)
     kinds = set()
     try:
         for data in inputs:
-            got, want = forked.run(data), spawned.run(data)
-            assert (got.exit_kind, got.crash_class, got.trace.reached, got.stderr_excerpt) \
-                == (want.exit_kind, want.crash_class, want.trace.reached,
-                    want.stderr_excerpt), f"input {data!r}"
-            kinds.add((want.exit_kind, bool(want.stderr_excerpt)))
+            want = outcome(spawned.run(data))
+            assert outcome(persistent.run(data)) == want, f"persistent, input {data!r}"
+            assert outcome(per_input.run(data)) == want, f"per input, input {data!r}"
+            kinds.add((want[0], bool(want[3])))
     finally:
-        forked.close()
+        persistent.close()
+        per_input.close()
         spawned.close()
-    assert len(started_servers) == 1 and started_servers[0] is not None
+    assert len(started_servers) == 2 and None not in started_servers
     assert {("crash", False), ("clean", True), ("clean", False)} <= kinds
 
 
@@ -202,46 +228,156 @@ if __name__ == "__main__":
 
 
 def test_fork_server_exit_status_matches_interpreter(tmp_path):
-    script = tmp_path / "status.py"
-    script.write_text(STATUS_SCRIPT)
-    input_path = tmp_path / "input.bin"
-    argv = (sys.executable, str(script), str(input_path))
-    server = campaign.ForkServer.start(argv, dict(os.environ), tmp_path / "stderr.log")
-    assert server is not None
-    try:
-        for mode in (b"code", b"wide", b"message", b"raise", b"abort", b"return"):
-            input_path.write_bytes(mode)
-            returncode = server.run(5.0)
-            stderr = (tmp_path / "stderr.log").read_bytes()
-            spawned = subprocess.run(argv, capture_output=True, timeout=30)
-            assert returncode == spawned.returncode, mode
-            if mode == b"raise":  # the fork server's traceback starts at main()
-                assert stderr.startswith(b"Traceback (most recent call last):")
-                assert stderr.endswith(b"ValueError: boom\n")
-                assert spawned.stderr.endswith(b"ValueError: boom\n")
-            else:
-                assert stderr == spawned.stderr, mode
-    finally:
-        server.close()
+    # all six modes in turn on one server; a persistent child serves on after an exit code
+    plain = tmp_path / "status.py"
+    plain.write_text(STATUS_SCRIPT)
+    for script in (plain, opted_in_script(STATUS_SCRIPT, "persistent_status", tmp_path)):
+        input_path = tmp_path / "input.bin"
+        argv = (sys.executable, str(script), str(input_path))
+        server = campaign.ForkServer.start(argv, dict(os.environ), tmp_path / "stderr.log")
+        assert server is not None
+        try:
+            for mode in (b"code", b"wide", b"message", b"raise", b"abort", b"return"):
+                input_path.write_bytes(mode)
+                returncode = server.run(5.0)
+                stderr = (tmp_path / "stderr.log").read_bytes()
+                spawned = subprocess.run(argv, capture_output=True, timeout=30)
+                assert returncode == spawned.returncode, (script.name, mode)
+                if mode == b"raise":  # the fork server's traceback starts at main()
+                    assert stderr.startswith(b"Traceback (most recent call last):")
+                    assert stderr.endswith(b"ValueError: boom\n")
+                    assert spawned.stderr.endswith(b"ValueError: boom\n")
+                else:
+                    assert stderr == spawned.stderr, (script.name, mode)
+        finally:
+            server.close()
 
 
 def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, started_servers):
-    # no program_exec: the command names its interpreter and script itself
-    sleeper = CommandLine(sys.executable, (str(toy_path("sleeper")), "@@"))
-    executor = Executor(ppm_graph.ids, tmp_path, sleeper, exec_timeout=0.5)
+    persistent = opted_in_script(toy_path("sleeper").read_text(), "persistent_sleeper",
+                                 tmp_path)
+    for script in (toy_path("sleeper"), persistent):
+        # no program_exec: the command names its interpreter and script itself
+        sleeper = CommandLine(sys.executable, (str(script), "@@"))
+        executor = Executor(ppm_graph.ids, tmp_path / script.stem, sleeper, exec_timeout=0.5)
+        try:
+            for _ in range(2):
+                start = time.monotonic()
+                result = executor.run(b"anything")
+                assert result.exit_kind == "timeout"
+                assert time.monotonic() - start < 5.0  # the 60 s sleep was cut short
+                assert [ppm_graph.name_of(f) for f in result.trace.reached] == ["main"]
+                helper = started_servers[-1]
+                assert helper is not None and helper.proc.poll() is None
+                assert children_of(helper.proc.pid) == []  # killed and reaped
+        finally:
+            executor.close()
+    assert len(started_servers) == 2  # each helper served its second input too
+
+
+COUNTER_SCRIPT = """\
+import os, sys
+
+calls = 0
+
+
+def main():
+    global calls
+    calls += 1
+    sys.stderr.write("%d %d" % (calls, os.getpid()))
+"""
+
+
+def counter_executor(persistent: bool, tmp_path: Path) -> Executor:
+    if persistent:
+        script = opted_in_script(COUNTER_SCRIPT, "counter", tmp_path)
+    else:
+        script = tmp_path / "counter.py"
+        script.write_text(COUNTER_SCRIPT)
+    return Executor(make_graph(["main"], []).ids, tmp_path / "exec",
+                    CommandLine("counter", ("@@",)), 5.0, [sys.executable, str(script)])
+
+
+def calls_and_pids(executor: Executor, count: int) -> list[tuple[int, int]]:
+    return [tuple(map(int, executor.run(b"x").stderr_excerpt.split())) for _ in range(count)]
+
+
+@pytest.mark.parametrize("persistent", [False, True])
+def test_module_state_carries_over_only_in_a_script_that_opts_in(persistent, tmp_path):
+    executor = counter_executor(persistent, tmp_path)
     try:
-        for _ in range(2):
-            start = time.monotonic()
-            result = executor.run(b"anything")
-            assert result.exit_kind == "timeout"
-            assert time.monotonic() - start < 5.0  # the 60 s sleep was cut short
-            assert [ppm_graph.name_of(f) for f in result.trace.reached] == ["main"]
-            helper = started_servers[0]
-            assert helper is not None and helper.proc.poll() is None
-            assert children_of(helper.proc.pid) == []  # killed and reaped
-        assert len(started_servers) == 1  # the helper served the second input too
+        calls = [calls for calls, _ in calls_and_pids(executor, 3)]
     finally:
         executor.close()
+    assert calls == ([1, 2, 3] if persistent else [1, 1, 1])
+
+
+def test_persistent_child_is_replaced_after_its_count(tmp_path):
+    executor = counter_executor(True, tmp_path)
+    try:
+        runs = calls_and_pids(executor, forkserver.PERSISTENT_INPUTS + 2)
+    finally:
+        executor.close()
+    pids = [pid for _, pid in runs]
+    first, second = pids[:forkserver.PERSISTENT_INPUTS], pids[forkserver.PERSISTENT_INPUTS:]
+    assert set(first) == {pids[0]} and set(second) == {second[0]} != {pids[0]}
+    assert [calls for calls, _ in runs[-2:]] == [1, 2]  # a fresh child starts from the load
+
+
+def test_idle_child_killed_between_inputs_shifts_no_result(
+        ppm_graph, ppm_command, ppm_program_exec, tmp_path, started_servers):
+    persistent = Executor(ppm_graph.ids, tmp_path / "persistent", ppm_command, 5.0,
+                          ppm_program_exec)
+    spawned = Executor(ppm_graph.ids, tmp_path / "spawn", ppm_command, 5.0, ppm_program_exec,
+                       fork_server=False)
+    try:
+        assert persistent.run(PPM_SEED).exit_kind == "clean"
+        idle = children_of(started_servers[0].proc.pid)
+        assert len(idle) == 1
+        os.kill(idle[0], signal.SIGKILL)  # a child this test's executor started
+        assert processes_end(idle)
+        for data in (PPM_SEED, PPM_CRASH, b"not a ppm"):
+            assert outcome(persistent.run(data)) == outcome(spawned.run(data)), data
+        assert len(started_servers) == 1  # the same helper served on
+        idle = children_of(started_servers[0].proc.pid)
+        assert len(idle) == 1
+    finally:
+        persistent.close()
+        spawned.close()
+    assert processes_end(idle)
+
+
+INPUT_SCRIPT = """\
+import os, sys
+
+
+def main():
+    data = open(sys.argv[1], "rb").read()
+    sys.stderr.write(data.hex())
+    if data.startswith(b"unlink"):
+        os.unlink(sys.argv[1])
+
+
+if __name__ == "__main__":
+    main()
+"""
+
+
+@pytest.mark.parametrize("fork_server", [True, False])
+def test_each_input_reaches_the_target_byte_exact(fork_server, tmp_path, started_servers):
+    script = tmp_path / "input.py"
+    script.write_text(INPUT_SCRIPT)
+    executor = Executor(make_graph(["main"], []).ids, tmp_path / "exec",
+                        CommandLine("input", ("@@",)), 5.0, [sys.executable, str(script)],
+                        fork_server=fork_server)
+    inputs = [b"a longer first input\x00\xff", b"short", b"unlink this", b"after the unlink",
+              b"unlink", b"x"]
+    try:
+        got = [bytes.fromhex(executor.run(data).stderr_excerpt) for data in inputs]
+    finally:
+        executor.close()
+    assert got == inputs
+    assert [server is not None for server in started_servers] == [True] * fork_server
 
 
 def child_pids(stderr: str, count: int) -> list[int]:
@@ -307,7 +443,15 @@ def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_serve
 
 
 def test_close_and_campaign_end_stop_fork_servers(
-        tmp_path, ppm_graph, ppm_command, ppm_program_exec, started_servers):
+        tmp_path, ppm_graph, ppm_command, ppm_program_exec, started_servers, monkeypatch):
+    children = {}  # each helper's children when it is first closed
+    close = campaign.ForkServer.close
+
+    def spy(server):
+        children.setdefault(server.proc.pid, children_of(server.proc.pid))
+        close(server)
+
+    monkeypatch.setattr(campaign.ForkServer, "close", spy)
     executor = Executor(ppm_graph.ids, tmp_path / "exec", ppm_command, 5.0, ppm_program_exec)
     assert executor.run(PPM_SEED).exit_kind == "clean"
     config = ppm_campaign_config(ppm_command, duration_limit=0.5, stop_on_first=False)
@@ -316,9 +460,13 @@ def test_close_and_campaign_end_stop_fork_servers(
     own, campaigns = started_servers
     assert own is not None and campaigns is not None
     assert process_gone(campaigns.proc.pid)
+    assert processes_end(children[campaigns.proc.pid])
     assert not process_gone(own.proc.pid)
+    idle = children_of(own.proc.pid)
+    assert len(idle) == 1  # the persistent child waits for the next input
     executor.close()
     assert process_gone(own.proc.pid)
+    assert children[own.proc.pid] == idle and processes_end(idle)
 
 
 ENV_SCRIPT = """\

@@ -17,7 +17,8 @@ STARTERS = {"fork", "forkpty", "posix_spawn", "posix_spawnp", "system", "popen",
 
 KEPT = {
     "process": "the primitive itself",
-    "forkserver": "the stdlib-only helper forks one child per input in its own group",
+    "forkserver": "the stdlib-only helper forks children, each serving one input or many "
+                  "in its own group",
     "toys/backgrounder": "a target that leaves a background child on purpose",
     "toys/forker": "a target that forks children and hangs on purpose",
 }

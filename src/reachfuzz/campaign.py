@@ -190,11 +190,13 @@ class ForkServer:
     """Orchestrator side of one ``forkserver.py`` helper process.
 
     The helper serves one fixed argv. It forks a child, which leads its own
-    process group and serves one input, or up to ``PERSISTENT_INPUTS`` of a
-    script that opts in; the reply protocol is in ``forkserver.py``. The helper
-    is single-threaded and owned by one executor, so no orchestrator thread
-    ever forks. ``close()`` kills a child waiting for its next input, then
-    stops the helper; collecting the server and interpreter exit stop the
+    process group from its first input on and serves one input, or up to
+    ``PERSISTENT_INPUTS`` of a script that opts in. It keeps one spare child
+    forked ahead, in the helper's process group until it takes an input; the
+    reply protocol is in ``forkserver.py``. The helper is single-threaded and
+    owned by one executor, so no orchestrator thread ever forks. ``close()``
+    kills a child waiting for its next input, then stops the helper with its
+    group, spare included; collecting the server and interpreter exit stop the
     helper too, all through one finalizer.
     """
 
@@ -614,7 +616,7 @@ def render_report(stage_timings: list[StageTiming],
     campaign stats are present, the campaign counters."""
     by_name = {t.name: t for t in stage_timings}
     lines = ["== Preparation =="]
-    total = 0
+    total = 0.0
     any_timeout = False
     for name in STAGE_ORDER:
         timing = by_name.get(name)
@@ -624,18 +626,15 @@ def render_report(stage_timings: list[StageTiming],
             cell = TIMEOUT_MARK
             any_timeout = True
         else:
-            cell = f"{int(round(timing.seconds))}s"
-            total += int(round(timing.seconds))
+            cell = _seconds(timing.seconds)
+            total += round(timing.seconds, 3)  # the Total is the sum of the printed cells
         lines.append(f"{name + ':':<9}{cell}")
-    lines.append(f"{'Total:':<9}{TIMEOUT_MARK if any_timeout else str(total) + 's'}")
+    lines.append(f"{'Total:':<9}{TIMEOUT_MARK if any_timeout else _seconds(total)}")
     if stats is not None:
         lines.append("")
         lines.append("== Campaign ==")
-        if stats.time_to_first_target_crash is not None:
-            ttb = f"{int(round(stats.time_to_first_target_crash))}s"
-        else:
-            ttb = TIMEOUT_MARK
-        lines.append(f"time to bug:            {ttb}")
+        ttb = stats.time_to_first_target_crash
+        lines.append(f"time to bug:            {TIMEOUT_MARK if ttb is None else _seconds(ttb)}")
         lines.append(f"total execs:            {stats.total_execs}")
         lines.append(f"execs reaching target:  {stats.execs_reaching_target}")
         lines.append(f"crashes:                {len(stats.crashes)}")
@@ -643,6 +642,10 @@ def render_report(stage_timings: list[StageTiming],
         lines.append(f"clamp events:           {stats.clamp_events}")
         lines.append(f"mode:                   {'random-only' if stats.random_only else 'bug-specific mix'}")
     return "\n".join(lines) + "\n"
+
+
+def _seconds(seconds: float) -> str:
+    return f"{seconds:.3f}s"  # a demo stage takes milliseconds
 
 
 def save_stats(stats: CampaignStats, path: str | Path):

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import os
 import random
 import re
 import shlex
@@ -393,6 +394,12 @@ def cmd_fuzz(config: ProjectConfig, duration: float | None = None, workers: int 
         workers=workers,
     )
     fuzz_dir = config.work_dir / "fuzz"
+    # One campaign per fuzz/: remove every file an earlier one left. The directories
+    # stay, since re-creating them costs more than the rest of a short campaign's
+    # file work (ext4 allocates a directory's block at once).
+    for root, _dirs, files in os.walk(fuzz_dir):
+        for name in files:
+            os.unlink(os.path.join(root, name))
     stats = campaign.run(cfg, program, ids, fuzz_dir, strategies, rebuild)
     timings = campaign.load_stage_timings(prepare_dir / "stage_timings.json")
     report = campaign.render_report(timings, stats)

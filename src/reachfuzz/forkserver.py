@@ -9,37 +9,52 @@ interpreter. It loads the script under a name other than ``__main__`` with
 see it, checks that the script defines a callable ``main``, and replies
 ``ready`` (or ``error <reason>`` and exits).
 
-Then each byte read on stdin is one request for one input. With no child
-alive, the server reads the request and forks a child. The child leads its
-own process group, inherits the environment (``RF_TRACE_FILE`` included),
-runs with stdin and stdout on ``/dev/null`` and stderr on the stderr file,
-and serves this input and then reads the next requests itself, up to
-``PERSISTENT_INPUTS`` inputs if the script declares
-``REACHFUZZ_PERSISTENT = True`` at module level, else one. For each input it
-truncates the stderr file, restores ``sys.argv``, calls ``main()`` and
-flushes both streams. The input's status is the one the interpreter would
-give: the ``SystemExit`` code, or 1 with a printed traceback (from ``main``
-down) for an uncaught exception. A signal the script sends itself kills the
-child with that signal. An uncaught exception, a signal, a kill past the
-timeout, the last input of the count or end of input ends the child; the
-server then kills the child's group and reaps it. Every other status is a
-normal result, and the child goes on to the next request.
+Then each byte read on stdin is one request for one input, read by the one
+child that serves. The server keeps one spare child forked ahead of need, so
+that no input waits for a fork. A spare points its stderr at the stderr file
+and blocks on a go pipe whose write end only the server holds; until it takes
+its first request it stays in the server's process group. The server hands
+the active child's place to the spare with one byte on that pipe, closes the
+pipe, and only then forks the next spare, so that no spare holds another's
+pipe end. The active child reads a request, makes its own process group (the
+orchestrator kills that group on timeout), and serves the input; then it reads
+the next requests itself, up to ``PERSISTENT_INPUTS`` inputs if the script
+declares ``REACHFUZZ_PERSISTENT = True`` at module level, else one. Children
+inherit the environment (``RF_TRACE_FILE`` included) and run with stdin and
+stdout on ``/dev/null``. For each input the child truncates the stderr file,
+restores ``sys.argv``, calls ``main()`` and flushes both streams. The input's
+status is the one the interpreter would give: the ``SystemExit`` code, or 1
+with a printed traceback (from ``main`` down) for an uncaught exception. A
+signal the script sends itself kills the child with that signal. An uncaught
+exception, a signal, a kill past the timeout, the last input of the count or
+end of input ends the child. Every other status is a normal result, and the
+child goes on to the next request.
+
+When the active child ends, the server kills its group, reaps it, replies,
+and stops if the request pipe has hung up; else it hands over to the spare
+and forks a new one. A spare that died while it waited is reaped and
+replaced, and its death answers nothing. A spare whose server is gone reads
+end of file on its go pipe and exits; one the server never handed over dies
+with the server's group. The server, and every child it forks, runs with a
+soft core-size limit of 0, so a crashing input writes no core file.
 
 Replies are one line each, and each has one writer:
 
 - ``<pid>``: the child, after its ``setpgid``, when it starts an input;
 - ``<wait status>``: the child, when it finished an input and stays for the
   next; the wait status its exit with that code would give;
-- ``died <wait status>``: the server, for a child that has ended, with its
-  raw wait status. After a pid line it is that input's result; before one,
-  the child ended between inputs, and the line answers no request.
+- ``died <wait status>``: the server, for an active child that has ended,
+  with its raw wait status. After a pid line it is that input's result;
+  before one, the child ended between inputs, and the line answers no
+  request.
 
-End of input stops the server. The server starts no threads, so forking it
-is safe.
+The server starts no threads, so forking it is safe.
 """
 
 import importlib.util
 import os
+import resource
+import select
 import signal
 import sys
 
@@ -82,10 +97,13 @@ def call(main):
         return None
 
 
-def child(main, inputs, stderr_fd, requests, replies):
-    os.setpgid(0, 0)  # before the pid is sent: the orchestrator kills the group on timeout
+def child(main, inputs, stderr_fd, go, requests, replies):
     os.dup2(stderr_fd, 2)
     os.close(stderr_fd)
+    if not os.read(go, 1) or not os.read(requests, 1):
+        os._exit(0)  # the server is gone, or end of input
+    os.close(go)
+    os.setpgid(0, 0)  # before the pid is sent: the orchestrator kills the group on timeout
     argv = list(sys.argv)
     pid = os.getpid()
     for n in range(1, inputs + 1):
@@ -106,7 +124,20 @@ def child(main, inputs, stderr_fd, requests, replies):
     os._exit(1 if status is None else status)  # the server replies for a child that ends
 
 
+def fork_spare(main, inputs, stderr_fd, requests, replies):
+    """Fork a spare child: its pid and the write end of its go pipe."""
+    go, go_write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        os.close(go_write)
+        child(main, inputs, stderr_fd, go, requests, replies)
+    os.close(go)
+    return pid, go_write
+
+
 def serve(stderr_path, script):
+    _, hard = resource.getrlimit(resource.RLIMIT_CORE)
+    resource.setrlimit(resource.RLIMIT_CORE, (0, hard))  # inherited by every child
     requests = os.dup(0)
     replies = os.dup(1)
     devnull = os.open(os.devnull, os.O_RDWR)
@@ -126,10 +157,21 @@ def serve(stderr_path, script):
     os.write(replies, b"ready\n")
     # Held open: closing a truncated, rewritten file makes ext4 flush it (~60 us).
     stderr_fd = os.open(stderr_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
-    while os.read(requests, 1):
-        pid = os.fork()
-        if pid == 0:
-            child(main, inputs, stderr_fd, requests, replies)
+    serving = (main, inputs, stderr_fd, requests, replies)
+    hangup = select.poll()
+    hangup.register(requests, 0)  # reports only a hang-up
+    spare, go = fork_spare(*serving)
+    while True:
+        try:
+            os.write(go, b"g")
+        except BrokenPipeError:  # the spare died while it waited
+            os.close(go)
+            os.waitpid(spare, 0)
+            spare, go = fork_spare(*serving)
+            continue
+        os.close(go)
+        pid = spare
+        spare, go = fork_spare(*serving)  # after the close: it holds no other spare's go pipe
         os.waitid(os.P_PID, pid, os.WEXITED | os.WNOWAIT)  # unreaped, it holds the group id
         try:
             os.killpg(pid, signal.SIGKILL)
@@ -137,6 +179,10 @@ def serve(stderr_path, script):
             pass
         _, status = os.waitpid(pid, 0)
         os.write(replies, b"died %d\n" % status)
+        if hangup.poll(0):  # the orchestrator closed the request pipe
+            break
+    os.close(go)  # the spare reads end of file and exits
+    os.waitpid(spare, 0)
     return 0
 
 

@@ -294,7 +294,7 @@ def test_report_schema_and_total_arithmetic():
     assert text == (GOLDEN / "report_full.txt").read_text()
     rows = [line.split(":")[0] for line in text.splitlines()[1:6]]
     assert rows == ["SA", "RAG", "Opt", "Mutator", "Total"]
-    assert "Total:   957s" in text  # 24 + 95 + 693 + 145
+    assert "Total:   957.000s" in text  # 24 + 95 + 693 + 145
 
     timed_out = [StageTiming("SA", 47), StageTiming("RAG", 285),
                  StageTiming("Opt", 3600, timed_out=True), StageTiming("Mutator", 101)]

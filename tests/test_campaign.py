@@ -4,6 +4,7 @@ import json
 import logging
 import os
 import random
+import resource
 import signal
 import subprocess
 import sys
@@ -138,16 +139,59 @@ def backend_executor(request, ppm_graph, ppm_command, ppm_program_exec, tmp_path
     executor.close()
 
 
-def children_of(pid: int) -> list[int]:
-    children = []
+def process_table() -> list[tuple[int, str, int, int]]:
+    """``(pid, state, ppid, session id)`` of every process."""
+    table = []
     for stat in Path("/proc").glob("[0-9]*/stat"):
         try:
-            ppid = int(stat.read_text().rsplit(")", 1)[1].split()[1])
+            state, ppid, _, session = stat.read_text().rsplit(")", 1)[1].split()[:4]
         except (OSError, IndexError, ValueError):
             continue  # the process ended while we looked
-        if ppid == pid:
-            children.append(int(stat.parent.name))
-    return children
+        table.append((int(stat.parent.name), state, int(ppid), int(session)))
+    return table
+
+
+def children_of(pid: int) -> list[int]:
+    return [child for child, _, ppid, _ in process_table() if ppid == pid]
+
+
+def session_ends(sid: int) -> bool:
+    """True when every process of session ``sid`` (a helper and every child it
+    forked, whatever its group) is gone within 2 s."""
+    return processes_end([pid for pid, _, _, session in process_table() if session == sid])
+
+
+def spare_of(server: campaign.ForkServer) -> int:
+    """The helper's spare child, once it is forked: its one child that is not
+    the idle child the orchestrator was told of."""
+    deadline = time.monotonic() + 2.0
+    while not (spares := [pid for pid in children_of(server.proc.pid) if pid != server.child]):
+        assert time.monotonic() < deadline, "no spare child"
+        time.sleep(0.01)
+    assert len(spares) == 1
+    return spares[0]
+
+
+@pytest.fixture
+def killed_groups(monkeypatch) -> list[int]:
+    """Every process group the orchestrator kills, in order."""
+    killed = []
+    kill_group = campaign.process.kill_group
+
+    def spy(pgid):
+        killed.append(pgid)
+        kill_group(pgid)
+
+    monkeypatch.setattr(campaign.process, "kill_group", spy)
+    return killed
+
+
+def assert_reaped(helper: int, pid: int):
+    """``pid``, a child of ``helper``, has ended and been reaped, and so has
+    every other child of ``helper`` that ended."""
+    children = {child: state for child, state, ppid, _ in process_table() if ppid == helper}
+    assert pid not in children and process_gone(pid)
+    assert "Z" not in children.values()
 
 
 OPT_IN = "REACHFUZZ_PERSISTENT = True\n"
@@ -253,7 +297,8 @@ def test_fork_server_exit_status_matches_interpreter(tmp_path):
             server.close()
 
 
-def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, started_servers):
+def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, started_servers,
+                                                      killed_groups):
     persistent = opted_in_script(toy_path("sleeper").read_text(), "persistent_sleeper",
                                  tmp_path)
     for script in (toy_path("sleeper"), persistent):
@@ -269,7 +314,7 @@ def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, star
                 assert [ppm_graph.name_of(f) for f in result.trace.reached] == ["main"]
                 helper = started_servers[-1]
                 assert helper is not None and helper.proc.poll() is None
-                assert children_of(helper.proc.pid) == []  # killed and reaped
+                assert_reaped(helper.proc.pid, killed_groups[-1])  # the timed-out child
         finally:
             executor.close()
     assert len(started_servers) == 2  # each helper served its second input too
@@ -332,19 +377,151 @@ def test_idle_child_killed_between_inputs_shifts_no_result(
                        fork_server=False)
     try:
         assert persistent.run(PPM_SEED).exit_kind == "clean"
-        idle = children_of(started_servers[0].proc.pid)
-        assert len(idle) == 1
+        server = started_servers[0]
+        idle = [server.child]  # the pid the orchestrator was told
+        assert idle[0] in children_of(server.proc.pid)
         os.kill(idle[0], signal.SIGKILL)  # a child this test's executor started
         assert processes_end(idle)
         for data in (PPM_SEED, PPM_CRASH, b"not a ppm"):
             assert outcome(persistent.run(data)) == outcome(spawned.run(data)), data
         assert len(started_servers) == 1  # the same helper served on
-        idle = children_of(started_servers[0].proc.pid)
-        assert len(idle) == 1
+        idle = [server.child]
+        assert idle[0] is not None and idle[0] in children_of(server.proc.pid)
     finally:
         persistent.close()
         spawned.close()
     assert processes_end(idle)
+
+
+def test_spare_killed_while_waiting_shifts_no_result(
+        ppm_graph, ppm_command, ppm_program_exec, tmp_path, started_servers):
+    persistent = Executor(ppm_graph.ids, tmp_path / "persistent", ppm_command, 5.0,
+                          ppm_program_exec)
+    spawned = Executor(ppm_graph.ids, tmp_path / "spawn", ppm_command, 5.0, ppm_program_exec,
+                       fork_server=False)
+    try:
+        assert persistent.run(PPM_SEED).exit_kind == "clean"
+        server = started_servers[0]
+        spare = spare_of(server)
+        os.kill(spare, signal.SIGKILL)  # a child this test's executor started
+        assert processes_end([spare])
+        # the crash ends the idle child, so the dead spare is the next one handed over
+        for data in (PPM_SEED, PPM_CRASH, b"not a ppm"):
+            assert outcome(persistent.run(data)) == outcome(spawned.run(data)), data
+        assert len(started_servers) == 1  # the same helper served on
+        assert_reaped(server.proc.pid, spare)
+    finally:
+        persistent.close()
+        spawned.close()
+
+
+def ppm_server(ppm_program_exec: list[str], tmp_path: Path) -> campaign.ForkServer:
+    """A started fork server for the toy, whose input is ``PPM_SEED``."""
+    input_path = tmp_path / "input.bin"
+    input_path.write_bytes(PPM_SEED)
+    server = campaign.ForkServer.start((*ppm_program_exec, str(input_path)), dict(os.environ),
+                                       tmp_path / "stderr.log")
+    assert server is not None
+    return server
+
+
+def test_spare_that_never_served_ends_with_close(ppm_program_exec, tmp_path):
+    server = ppm_server(ppm_program_exec, tmp_path)
+    try:
+        assert server.run(5.0) == 0
+        idle, spare = server.child, spare_of(server)
+    finally:
+        server.close()
+    assert processes_end([idle, spare]) and session_ends(server.proc.pid)
+
+
+def test_spare_exits_when_only_its_helper_is_killed(ppm_program_exec, tmp_path):
+    server = ppm_server(ppm_program_exec, tmp_path)
+    try:
+        assert server.run(5.0) == 0
+        idle, spare = server.child, spare_of(server)
+        os.kill(server.proc.pid, signal.SIGKILL)  # the helper alone, not its group
+        assert processes_end([spare])
+        assert not process_gone(idle)  # the idle child waits until the orchestrator ends it
+    finally:
+        server.close()
+    assert processes_end([idle]) and session_ends(server.proc.pid)
+
+
+SIBLING_SCRIPT = """\
+import os, sys, time
+
+
+def siblings():
+    found = []
+    for name in os.listdir("/proc"):
+        try:
+            with open("/proc/%s/stat" % name) as stat:
+                ppid = int(stat.read().rsplit(")", 1)[1].split()[1])
+        except (OSError, IndexError, ValueError):
+            continue
+        if name.isdigit() and ppid == os.getppid() and int(name) != os.getpid():
+            found.append(name)
+    return found
+
+
+def main():
+    deadline = time.monotonic() + 2.0
+    while not siblings() and time.monotonic() < deadline:
+        time.sleep(0.01)
+    sys.stderr.write(" ".join([str(os.getpid())] + siblings()))
+"""
+
+
+def test_next_child_is_alive_before_the_input_ends(tmp_path, started_servers):
+    # one fork per input: each input records its pid and its siblings under the helper
+    script = tmp_path / "siblings.py"
+    script.write_text(SIBLING_SCRIPT)
+    executor = Executor(make_graph(["main"], []).ids, tmp_path / "exec",
+                        CommandLine("siblings", ("@@",)), 5.0, [sys.executable, str(script)])
+    try:
+        runs = [executor.run(b"x").stderr_excerpt.split() for _ in range(5)]
+    finally:
+        executor.close()
+    assert started_servers[0] is not None
+    pids = [run[0] for run in runs]
+    assert len(set(pids)) == len(pids)
+    for run, next_pid in zip(runs, pids[1:]):
+        assert next_pid in run[1:], runs
+
+
+CORE_SCRIPT = """\
+import os, resource, sys
+from reachfuzz.campaign import Executor
+from reachfuzz.seedgen import CommandLine
+
+toy, crash = sys.argv[1], bytes.fromhex(sys.argv[2])
+_, hard = resource.getrlimit(resource.RLIMIT_CORE)
+resource.setrlimit(resource.RLIMIT_CORE, (hard, hard))
+for fork_server in (True, False):
+    executor = Executor({"main": 0}, f"exec-{fork_server}", CommandLine("ppm", ("@@",)), 5.0,
+                        [sys.executable, toy], fork_server=fork_server)
+    result = executor.run(crash)
+    executor.close()
+    print(result.exit_kind, result.crash_class,
+          sorted(name for name in os.listdir() if name.startswith("core")))
+"""
+
+
+def test_fork_server_target_dumps_no_core(tmp_path):
+    if resource.getrlimit(resource.RLIMIT_CORE)[1] == 0:
+        pytest.skip("the hard core-size limit is 0, so no target can dump core")
+    # the soft limit is raised in a process the test starts, not in the test runner
+    done = subprocess.run(
+        [sys.executable, "-c", CORE_SCRIPT, str(toy_path("ppmcheck")), PPM_CRASH.hex()],
+        cwd=tmp_path, capture_output=True, text=True, timeout=60,
+        env=dict(os.environ, PYTHONPATH=str(Path(campaign.__file__).parents[1])))
+    assert done.returncode == 0, done.stderr
+    fork_server, spawned = done.stdout.splitlines()
+    assert fork_server == "crash SIGSEGV []"
+    if spawned == "crash SIGSEGV []":
+        pytest.skip("a spawned crash left no core file in its cwd on this host either")
+    assert spawned.startswith("crash SIGSEGV ['core")  # spawned targets keep the soft limit
 
 
 INPUT_SCRIPT = """\
@@ -408,13 +585,14 @@ def test_background_child_is_clean_and_ended(head, fork_server, tmp_path, starte
 
 
 @pytest.mark.parametrize("fork_server", [True, False])
-def test_hanging_forker_times_out_and_leaves_nothing(fork_server, tmp_path, started_servers):
+def test_hanging_forker_times_out_and_leaves_nothing(fork_server, tmp_path, started_servers,
+                                                     killed_groups):
     executor = Executor(make_graph(["main"], []).ids, tmp_path, CommandLine("forker", ("@@",)),
                         1.0, [sys.executable, str(toy_path("forker"))], fork_server=fork_server)
     try:
         result = executor.run(b"anything")
         if fork_server:
-            assert children_of(started_servers[0].proc.pid) == []
+            assert_reaped(started_servers[0].proc.pid, killed_groups[-1])
     finally:
         executor.close()
     assert result.exit_kind == "timeout"
@@ -461,12 +639,14 @@ def test_close_and_campaign_end_stop_fork_servers(
     assert own is not None and campaigns is not None
     assert process_gone(campaigns.proc.pid)
     assert processes_end(children[campaigns.proc.pid])
+    assert session_ends(campaigns.proc.pid)  # every child it forked, the spare included
     assert not process_gone(own.proc.pid)
-    idle = children_of(own.proc.pid)
-    assert len(idle) == 1  # the persistent child waits for the next input
+    idle = own.child  # the persistent child waits for the next input
+    assert idle is not None and idle in children_of(own.proc.pid)
     executor.close()
     assert process_gone(own.proc.pid)
-    assert children[own.proc.pid] == idle and processes_end(idle)
+    assert idle in children[own.proc.pid] and processes_end(children[own.proc.pid])
+    assert session_ends(own.proc.pid)
 
 
 ENV_SCRIPT = """\
@@ -926,7 +1106,7 @@ TABLE_TIMINGS = [StageTiming("SA", 24), StageTiming("RAG", 95),
 
 def test_report_total_arithmetic():
     text = render_report(TABLE_TIMINGS)
-    assert "Total:   957s" in text
+    assert "Total:   957.000s" in text
     lines = text.splitlines()
     assert lines[1].startswith("SA:") and lines[2].startswith("RAG:")
     assert lines[3].startswith("Opt:") and lines[4].startswith("Mutator:")
@@ -958,7 +1138,15 @@ def test_report_zero_exec_stats():
 def test_report_partial_stages_only():
     text = render_report([StageTiming("SA", 10), StageTiming("RAG", 20)])
     assert "Opt:" not in text
-    assert "Total:   30s" in text
+    assert "Total:   30.000s" in text
+
+
+def test_report_times_read_to_the_millisecond():
+    timings = [StageTiming("SA", 0.0042), StageTiming("RAG", 0.0158), StageTiming("Opt", 0.2216)]
+    text = render_report(timings, CampaignStats(time_to_first_target_crash=0.0371))
+    assert text.splitlines()[1:5] == ["SA:      0.004s", "RAG:     0.016s", "Opt:     0.222s",
+                                      "Total:   0.242s"]  # the sum of the printed cells
+    assert "time to bug:            0.037s" in text
 
 
 def test_stats_round_trip(tmp_path):

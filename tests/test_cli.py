@@ -175,6 +175,19 @@ def test_fuzz_random_only_flagged(demo_config):
     assert code in (EXIT_OK, EXIT_TIMEOUT_NO_BUG)
 
 
+def test_second_fuzz_replaces_the_first(demo_config):
+    cli.main(["prepare", "--config", str(demo_config)])
+    crashes = demo_config.parent / "work" / "fuzz" / "crashes"
+    cli.main(["fuzz", "--config", str(demo_config), "--keep-going", "--duration", "2s",
+              "--rng-seed", "1"])
+    first = sorted(path.name for path in crashes.iterdir())
+    cli.main(["fuzz", "--config", str(demo_config), "--duration", "2s", "--rng-seed", "2"])
+    stats = json.loads((crashes.parent / "stats.json").read_text())
+    listed = sorted(f"{crash['input_hash']}.bin" for crash in stats["crashes"])
+    assert sorted(path.name for path in crashes.iterdir()) == listed
+    assert len(first) > len(listed)  # the first campaign's crashes were there to remove
+
+
 def test_fuzz_zero_duration_empty_stats(demo_config):
     cli.main(["prepare", "--config", str(demo_config)])
     code = cli.main(["fuzz", "--config", str(demo_config), "--duration", "0s"])

@@ -35,14 +35,12 @@ log = logging.getLogger(__name__)
 TRACE_ENV_VAR = "RF_TRACE_FILE"
 DEFAULT_EXEC_TIMEOUT = 1.0
 DEFAULT_MIX_RATIO = 0.8
-STDERR_EXCERPT_LIMIT = 500
 
 
 @dataclass
 class ExecResult:
     exit_kind: str  # clean | crash | timeout
     trace: TraceObservation
-    stderr_excerpt: str = ""
     crash_class: str | None = None
 
     def __post_init__(self):
@@ -59,7 +57,8 @@ class Executor:
     child environment are fixed at construction. ``program_exec``, when not
     empty, is the argv head that replaces the command's program, whatever
     name the command gives it. Children see this process's environment
-    without the ``RF_LLM_*`` backend settings, plus ``RF_TRACE_FILE``.
+    without the ``RF_LLM_*`` backend settings, plus ``RF_TRACE_FILE``. Their
+    stderr goes to ``<workdir>/stderr-<tag>.log``, emptied for each input.
 
     An argv of the form ``<python interpreter> <script>.py`` runs through a
     fork server (``forkserver.py``) that the executor starts on first use
@@ -80,12 +79,12 @@ class Executor:
         workdir = Path(workdir)
         workdir.mkdir(parents=True, exist_ok=True)
         self.exec_timeout = exec_timeout
-        self.missing_traces = 0
+        self._trace_missing = False  # warned once per executor
         self._input_path = workdir / f"input-{tag}.bin"
         self._trace_path = workdir / f"trace-{tag}.log"
         self._stderr_path = workdir / f"stderr-{tag}.log"
         # Held open: closing a truncated, rewritten file makes ext4 flush it (~60 us).
-        self._stderr_fd = os.open(self._stderr_path, os.O_RDWR | os.O_CREAT | os.O_APPEND, 0o644)
+        self._stderr_fd = os.open(self._stderr_path, os.O_WRONLY | os.O_CREAT | os.O_APPEND, 0o644)
         self._input_fd = os.open(self._input_path, os.O_WRONLY | os.O_CREAT, 0o644)
         weakref.finalize(self, os.close, self._stderr_fd)
         weakref.finalize(self, os.close, self._input_fd)
@@ -112,16 +111,15 @@ class Executor:
         if self.server is None:
             returncode = self._spawn()
         trace = self._read_trace()
-        excerpt = os.pread(self._stderr_fd, STDERR_EXCERPT_LIMIT, 0).decode("utf-8", "replace")
         if returncode is None:
-            return ExecResult("timeout", trace, excerpt)
+            return ExecResult("timeout", trace)
         if returncode < 0:
             try:
                 crash_class = signal.Signals(-returncode).name
             except ValueError:
                 crash_class = f"signal-{-returncode}"
-            return ExecResult("crash", trace, excerpt, crash_class=crash_class)
-        return ExecResult("clean", trace, excerpt)
+            return ExecResult("crash", trace, crash_class=crash_class)
+        return ExecResult("clean", trace)
 
     def close(self):
         """Stop the fork server, if one runs."""
@@ -151,10 +149,10 @@ class Executor:
         try:
             names = self._trace_path.read_text(encoding="utf-8").split()
         except FileNotFoundError:
-            self.missing_traces += 1
-            if self.missing_traces == 1:
+            if not self._trace_missing:
+                self._trace_missing = True
                 log.warning("trace file missing after execution; treating trace as "
-                            "empty (warned once, counted per executor)")
+                            "empty (warned once per executor)")
             return TraceObservation([])
         except OSError:
             log.warning("trace file unreadable; treating trace as empty")
@@ -532,23 +530,27 @@ class Campaign:
         return self.stats.refresh_events
 
     def _refresh(self, n: int, executor: Executor):
-        """Build refresh ``n`` outside the lock, then swap it in under it."""
+        """Build refresh ``n`` outside the lock, then swap it in under it. A
+        build that fails or is rejected keeps the current program."""
         build = None
         if self.rebuild is not None:
-            # only the refreshing worker writes the strategies
-            build = self.rebuild(self.strategies, executor.run)
+            try:
+                # only the refreshing worker writes the strategies
+                build = self.rebuild(self.strategies, executor.run)
+            except ReachFuzzError as exc:
+                log.warning("refresh %d failed; keeping the current program: %s", n, exc)
+                build = mutator.MutatorBuild(None, None, self.strategies)
         with self.lock:
             self.refreshing = False
             if build is not None and not build.accepted:
                 self.events.append({"event": "refresh", "n": n, "swapped": False})
-                return  # keep the previous accepted program
+                return
             if build is not None:
                 self.program, self.strategies = build.program, build.strategies
             self._write_program(n)
             if build is not None and build.trial is not None:
-                (self.workdir / "mutators" / f"active-{n}.trial.json").write_text(
-                    json.dumps(asdict(build.trial), indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
+                write_json(self.workdir / "mutators" / f"active-{n}.trial.json",
+                           asdict(build.trial))
             self.events.append({"event": "refresh", "n": n, "swapped": True})
 
     def _write_program(self, n: int):
@@ -648,10 +650,14 @@ def _seconds(seconds: float) -> str:
     return f"{seconds:.3f}s"  # a demo stage takes milliseconds
 
 
-def save_stats(stats: CampaignStats, path: str | Path):
-    payload = asdict(stats)
+def write_json(path: str | Path, payload):
+    """The one writer of this package's JSON files: indented, keys sorted."""
     Path(path).write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
                           encoding="utf-8")
+
+
+def save_stats(stats: CampaignStats, path: str | Path):
+    write_json(path, asdict(stats))
 
 
 def load_stats(path: str | Path) -> CampaignStats:
@@ -661,8 +667,7 @@ def load_stats(path: str | Path) -> CampaignStats:
 
 
 def save_stage_timings(timings: list[StageTiming], path: str | Path):
-    payload = [asdict(t) for t in timings]
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    write_json(path, [asdict(t) for t in timings])
 
 
 def load_stage_timings(path: str | Path) -> list[StageTiming]:

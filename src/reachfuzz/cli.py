@@ -167,8 +167,7 @@ def _definition_source(config: ProjectConfig, graph: callgraph.CallGraph):
     return lookup
 
 
-def cmd_prepare(config: ProjectConfig, opt_budget: float | None = None,
-                force: bool = False) -> int:
+def cmd_prepare(config: ProjectConfig, force: bool = False) -> int:
     prepare_dir = config.work_dir / "prepare"
     bundle_path = prepare_dir / "bundle.json"
     if bundle_path.exists() and not force:
@@ -178,7 +177,6 @@ def cmd_prepare(config: ProjectConfig, opt_budget: float | None = None,
     if prepare_dir.exists():
         shutil.rmtree(prepare_dir)
     prepare_dir.mkdir(parents=True)
-    opt_budget = opt_budget if opt_budget is not None else config.opt_budget
 
     client = build_client(config)
     engine = Engine(load_catalog(), client)
@@ -198,8 +196,7 @@ def cmd_prepare(config: ProjectConfig, opt_budget: float | None = None,
                                          config.exec_timeout,
                                          shlex.split(config.program_exec))
             outcome = _stage_opt(config, engine, graph, bug, usage, target, chain,
-                                 prepare_dir, opt_budget, command, summaries,
-                                 executor.run)
+                                 prepare_dir, command, summaries, executor.run)
             opt.timed_out = outcome.status == "timeout"
         if outcome.status == "isolated-target":
             print("prepare: target has no complete call chain and no direct callers "
@@ -225,8 +222,7 @@ def cmd_prepare(config: ProjectConfig, opt_budget: float | None = None,
         "mutator_accepted": build.accepted,
         "llm_requests": client.accounting().total_requests,
     }
-    bundle_path.write_text(json.dumps(bundle, indent=2, sort_keys=True) + "\n",
-                           encoding="utf-8")
+    campaign.write_json(bundle_path, bundle)
     print(campaign.render_report(clock.timings), end="")
     print(f"status: {outcome.status}; mutator "
           f"{'accepted' if build.accepted else 'unavailable (random-only fallback)'}")
@@ -235,8 +231,8 @@ def cmd_prepare(config: ProjectConfig, opt_budget: float | None = None,
 
 def _stage_sa(config: ProjectConfig, engine: Engine, prepare_dir: Path):
     graph = callgraph.load(config.graph_file)
-    _dump_json(prepare_dir / "targets.json",
-               {"graph_sha256": _sha256(config.graph_file), "ids": graph.ids})
+    campaign.write_json(prepare_dir / "targets.json",
+                        {"graph_sha256": _sha256(config.graph_file), "ids": graph.ids})
     report_text = config.bug_report_file.read_text(encoding="utf-8")
     bug = knowledge.extract_bug_info(report_text, engine)
     target = graph.id_of(bug.vulnerable_function)
@@ -252,14 +248,14 @@ def _stage_rag(config: ProjectConfig, engine: Engine, bug: BugInfo, prepare_dir:
     index = knowledge.build_index(chunks, HashEmbedder())
     knowledge.save_index(index, prepare_dir / "index.rfix")
     usage = knowledge.derive_program_usage(bug, index, engine)
-    _dump_json(prepare_dir / "bug_info.json", dataclasses.asdict(bug))
-    _dump_json(prepare_dir / "usage.json", dataclasses.asdict(usage))
+    campaign.write_json(prepare_dir / "bug_info.json", dataclasses.asdict(bug))
+    campaign.write_json(prepare_dir / "usage.json", dataclasses.asdict(usage))
     return usage
 
 
 def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
                usage: ProgramUsage, target: int, chain, prepare_dir: Path,
-               opt_budget: float, command: CommandLine, summaries: SummaryCache,
+               command: CommandLine, summaries: SummaryCache,
                runner) -> seedgen.OptimizationOutcome:
     definition_source = summaries.definition_source
     spec = seedgen.generate_preliminary(command, bug, engine)
@@ -269,17 +265,18 @@ def _stage_opt(config: ProjectConfig, engine: Engine, graph, bug: BugInfo,
     seed = Seed(data, command, ({"task": "preliminary_seed", "accepted": True},))
     if chain is not None:
         outcome = seedgen.optimize_along_chain(
-            seed, chain, graph, runner, engine, opt_budget,
+            seed, chain, graph, runner, engine, config.opt_budget,
             definition_source, sandbox)
     else:
         outcome = seedgen.optimize_by_functionality(
-            seed, graph, target, runner, engine, opt_budget,
+            seed, graph, target, runner, engine, config.opt_budget,
             random.Random(config.rng_seed), usage, summaries.get,
             definition_source, sandbox)
     if outcome.status != "isolated-target":
         seedgen.write_outcome(outcome, prepare_dir / "seeds")
-        _dump_json(prepare_dir / "summaries.json",
-                   {name: dataclasses.asdict(s) for name, s in summaries.snapshot().items()})
+        campaign.write_json(prepare_dir / "summaries.json",
+                            {name: dataclasses.asdict(s)
+                             for name, s in summaries.snapshot().items()})
     return outcome
 
 
@@ -288,7 +285,7 @@ def _stage_mutator(config: ProjectConfig, engine: Engine, bug: BugInfo,
                    runner) -> mutator.MutatorBuild:
     target_summary = summaries.get(bug.vulnerable_function)
     analysis = mutator.analyze_bug(bug, target_summary, engine)
-    _dump_json(prepare_dir / "analysis.json", dataclasses.asdict(analysis))
+    campaign.write_json(prepare_dir / "analysis.json", dataclasses.asdict(analysis))
     build = mutator.build_mutator(
         analysis, engine, outcome.best_seed.data, runner,
         trial_duration=config.trial_duration,
@@ -300,15 +297,10 @@ def _stage_mutator(config: ProjectConfig, engine: Engine, bug: BugInfo,
     if build.accepted:
         (mutator_dir / "program.mut").write_text(build.program.render() + "\n",
                                                  encoding="utf-8")
-        _dump_json(mutator_dir / "trial.json", dataclasses.asdict(build.trial))
-    _dump_json(mutator_dir / "strategies.json",
-               [dataclasses.asdict(s) for s in build.strategies])
+        campaign.write_json(mutator_dir / "trial.json", dataclasses.asdict(build.trial))
+    campaign.write_json(mutator_dir / "strategies.json",
+                        [dataclasses.asdict(s) for s in build.strategies])
     return build
-
-
-def _dump_json(path: Path, payload):
-    path.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n",
-                    encoding="utf-8")
 
 
 def _sha256(path: Path) -> str:
@@ -454,7 +446,6 @@ def main(argv: list[str] | None = None) -> int:
 
     p_prepare = sub.add_parser("prepare", help="run the four preparation stages")
     p_prepare.add_argument("--config", required=True, type=Path)
-    p_prepare.add_argument("--opt-budget", type=parse_duration, default=None)
     p_prepare.add_argument("--force", action="store_true")
 
     p_fuzz = sub.add_parser("fuzz", help="run the directed campaign")
@@ -479,7 +470,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         if args.command == "prepare":
             config = load_config(args.config)
-            return cmd_prepare(config, opt_budget=args.opt_budget, force=args.force)
+            return cmd_prepare(config, force=args.force)
         if args.command == "fuzz":
             config = load_config(args.config)
             return cmd_fuzz(config, duration=args.duration, workers=args.workers,

@@ -22,15 +22,7 @@ class AnswerParseError(ReachFuzzError):
 
 
 class TaskError(ReachFuzzError):
-    """A query task failed even after the bounded repair loop.
-
-    Carries every raw response seen so the operator can diagnose what the
-    backend actually produced.
-    """
-
-    def __init__(self, message: str, raw_responses: list[str] | None = None):
-        super().__init__(message)
-        self.raw_responses = raw_responses or []
+    """A query task failed even after the bounded repair loop."""
 
 
 class GraphFormatError(ReachFuzzError):

@@ -35,8 +35,9 @@ and stops if the request pipe has hung up; else it hands over to the spare
 and forks a new one. A spare that died while it waited is reaped and
 replaced, and its death answers nothing. A spare whose server is gone reads
 end of file on its go pipe and exits; one the server never handed over dies
-with the server's group. The server, and every child it forks, runs with a
-soft core-size limit of 0, so a crashing input writes no core file.
+with the server's group. The server, and every child it forks, inherits the
+orchestrator's soft core-size limit of 0, so a crashing input writes no core
+file.
 
 Replies are one line each, and each has one writer:
 
@@ -53,7 +54,6 @@ The server starts no threads, so forking it is safe.
 
 import importlib.util
 import os
-import resource
 import select
 import signal
 import sys
@@ -136,8 +136,6 @@ def fork_spare(main, inputs, stderr_fd, requests, replies):
 
 
 def serve(stderr_path, script):
-    _, hard = resource.getrlimit(resource.RLIMIT_CORE)
-    resource.setrlimit(resource.RLIMIT_CORE, (0, hard))  # inherited by every child
     requests = os.dup(0)
     replies = os.dup(1)
     devnull = os.open(os.devnull, os.O_RDWR)

@@ -13,7 +13,7 @@ import random
 import re
 import time
 import typing
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, fields
 
 from .errors import DslError, TaskError
 from .query_engine import Engine
@@ -575,8 +575,7 @@ def synthesize(strategies: list[MutationStrategy], engine: Engine,
                 temperature=TEMPERATURE_GENERATION,
             )
             raw_programs.append(repair.text("program"))
-    raise TaskError("mutation program synthesis exhausted its repair budget",
-                    raw_responses=raw_programs)
+    raise TaskError("mutation program synthesis exhausted its repair budget")
 
 
 @dataclass
@@ -586,8 +585,6 @@ class MutatorBuild:
     program: MutationProgram | None
     trial: TrialReport | None
     strategies: list[MutationStrategy]
-    regenerations: int
-    rejected: list[tuple[MutationProgram, TrialReport]] = field(default_factory=list)
 
     @property
     def accepted(self) -> bool:
@@ -601,24 +598,25 @@ def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runn
                   rng: random.Random | None = None) -> MutatorBuild:
     """Propose strategies, synthesize, trial; regenerate on rejection.
 
-    After ``MAX_REGENERATIONS`` rejected programs the build gives up and the
+    Each rejected program is logged with its verdict. After
+    ``MAX_REGENERATIONS`` rejected programs the build gives up and the
     campaign falls back to random-only mutation with a warning.
     """
     strategies = propose_strategies(analysis, engine, prior=prior)
-    rejected: list[tuple[MutationProgram, TrialReport]] = []
     feedback = ""
     for attempt in range(1 + MAX_REGENERATIONS):
         try:
             program = synthesize(strategies, engine, feedback=feedback)
         except TaskError:
             log.warning("mutator synthesis failed; falling back to random-only mutation")
-            return MutatorBuild(None, None, strategies, attempt, rejected)
+            return MutatorBuild(None, None, strategies)
         report = trial_run(program, seed_bytes, runner, duration=trial_duration,
                            min_execs_per_sec=min_execs_per_sec, rng=rng)
         if report.accepted:
-            return MutatorBuild(program, report, strategies, attempt, rejected)
-        rejected.append((program, report))
+            return MutatorBuild(program, report, strategies)
+        log.warning("mutation program %d of %d failed its trial: %s", attempt + 1,
+                    1 + MAX_REGENERATIONS, report.verdict)
         feedback = (f"The previous program was rejected ({report.verdict}). "
                     "Generate a replacement mutator.")
     log.warning("all synthesized mutators were rejected; falling back to random-only mutation")
-    return MutatorBuild(None, None, strategies, MAX_REGENERATIONS, rejected)
+    return MutatorBuild(None, None, strategies)

@@ -283,13 +283,11 @@ def execute_task(template: QueryTemplate, fillers: dict[str, str], client: LlmCl
     error appended as one more suggestion, so the request count per task is
     bounded by 1 + max_repairs.
     """
-    raw_responses: list[str] = []
     error_note = ""
     for _ in range(1 + max_repairs):
         note = "\n".join(p for p in (extra_suggestion, error_note) if p)
         prompt = render(template, fillers, note)
         response = client.complete(LlmRequest(prompt_text=prompt, temperature_hint=temperature))
-        raw_responses.append(response.text)
         try:
             return parse(template.answer_schema, response.text)
         except AnswerParseError as exc:
@@ -297,10 +295,7 @@ def execute_task(template: QueryTemplate, fillers: dict[str, str], client: LlmCl
                 "Your previous reply could not be used: "
                 f"{exc}. Follow the answer template exactly."
             )
-    raise TaskError(
-        f"task {template.task_id} failed after {1 + max_repairs} attempts",
-        raw_responses=raw_responses,
-    )
+    raise TaskError(f"task {template.task_id} failed after {1 + max_repairs} attempts")
 
 
 class Engine:

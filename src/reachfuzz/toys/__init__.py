@@ -1,9 +1,10 @@
-"""Standalone toy targets used by the test suite and the packaged demo.
+"""The toy target of the packaged demo, ``ppmcheck.py``.
 
-Each toy is a plain script executed as a child process; none of them import
-this package. They report executed functions through the trace protocol: one
-function name per line appended to the file named by the ``RF_TRACE_FILE``
-environment variable.
+The toy is a plain script executed as a child process; it imports nothing
+from this package. It reports executed functions through the trace protocol:
+one function name per line appended to the file named by the
+``RF_TRACE_FILE`` environment variable. The demo copies it into its corpus
+and runs it; the test suite runs it too.
 """
 
 from importlib import resources

@@ -76,10 +76,23 @@ def dedent(text: str) -> str:
     return textwrap.dedent(text).lstrip("\n")
 
 
+def trial_verdicts(caplog) -> list[str]:
+    """The verdict of each program ``build_mutator`` rejected, from its warnings."""
+    return [r.getMessage().rsplit(": ", 1)[1] for r in caplog.records
+            if r.name == "reachfuzz.mutator" and "failed its trial" in r.getMessage()]
+
+
 # --- toy target helpers ------------------------------------------------------
 
 PPM_SEED = b"P6\n2 2\n255\n" + b"\x00" * 12
 PPM_CRASH = b"P6\n200 200\n255\n" + b"\x00" * 12
+TOYS = Path(__file__).with_name("toys")  # targets only tests run
+
+
+def target_stderr(workdir: Path, tag: str = "0") -> str:
+    """The stderr of the last input run by the executor with ``workdir`` and
+    ``tag``: ``Executor`` points every target's stderr at this file."""
+    return (workdir / f"stderr-{tag}.log").read_text(encoding="utf-8", errors="replace")
 
 
 @pytest.fixture(scope="session")

@@ -14,7 +14,14 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PPM_SEED, declared_growth, engine_from_rules, make_graph, random_program
+from conftest import (
+    PPM_SEED,
+    declared_growth,
+    engine_from_rules,
+    make_graph,
+    random_program,
+    trial_verdicts,
+)
 from reachfuzz import callgraph, campaign, cli, demo, mutator
 from reachfuzz.callgraph import CallChain, TraceObservation
 from reachfuzz.campaign import CampaignConfig, CampaignStats, StageTiming
@@ -190,7 +197,7 @@ def test_mutator_repair_then_accept(catalog, ppm_runner):
 
 
 def test_mutator_rejects_giant_resize_with_bounded_regeneration(
-        catalog, ppm_graph, ppm_command, ppm_program_exec, tmp_path):
+        catalog, ppm_graph, ppm_command, ppm_program_exec, tmp_path, caplog):
     executor = campaign.Executor(ppm_graph.ids, tmp_path / "exec", ppm_command,
                                  exec_timeout=30.0, program_exec=ppm_program_exec)
     runner = executor.run
@@ -206,9 +213,9 @@ def test_mutator_rejects_giant_resize_with_bounded_regeneration(
                                   trial_duration=0.5,
                                   min_execs_per_sec=10)
     assert not build.accepted
-    assert build.regenerations == 3
-    assert len(build.rejected) == 4  # initial program plus three regenerations
-    assert all(report.verdict == "rejected-slow" for _, report in build.rejected)
+    assert engine.client.accounting().total_requests == 5  # strategies, four syntheses
+    # initial program plus three regenerations
+    assert trial_verdicts(caplog) == ["rejected-slow"] * 4
     ok("a 256 MiB-resize program is rejected-slow and regeneration stops after 3 tries")
 
 

@@ -14,7 +14,15 @@ from pathlib import Path
 
 import pytest
 
-from conftest import PPM_CRASH, PPM_SEED, make_graph, process_gone, processes_end
+from conftest import (
+    PPM_CRASH,
+    PPM_SEED,
+    TOYS,
+    make_graph,
+    process_gone,
+    processes_end,
+    target_stderr,
+)
 from reachfuzz import campaign, forkserver, mutator
 from reachfuzz.campaign import (
     CampaignConfig,
@@ -61,22 +69,18 @@ def test_execute_overflow_crashes_at_target(ppm_executor, ppm_command, ppm_graph
     assert result.trace.contains(ppm_graph.id_of("read_pixels"))
 
 
-def test_execute_reject_path(ppm_executor, ppm_command, ppm_graph):
+def test_execute_reject_path(ppm_executor, ppm_command, ppm_graph, tmp_path):
     result = ppm_executor.run(b"BM not a ppm")
     assert result.exit_kind == "clean"  # diagnostic exit, not a crash
     names = [ppm_graph.name_of(f) for f in result.trace.reached]
     assert names == ["main", "parse_header", "reject_input"]
-    assert "not a raw PPM" in result.stderr_excerpt
+    assert "not a raw PPM" in target_stderr(tmp_path / "exec")
 
 
 def test_execute_timeout(tmp_path):
-    import sys
-
-    from reachfuzz.toys import toy_path
-
     graph = make_graph(["main"], [])
     executor = Executor(graph.ids, tmp_path, CommandLine("sleeper", ("@@",)), exec_timeout=0.2,
-                        program_exec=[sys.executable, str(toy_path("sleeper"))])
+                        program_exec=[sys.executable, str(TOYS / "sleeper.py")])
     result = executor.run(b"anything")
     assert result.exit_kind == "timeout"
 
@@ -103,14 +107,13 @@ def test_execute_missing_trace_file_yields_empty_trace(tmp_path, caplog):
     assert any("trace file missing" in r.message for r in caplog.records)
 
 
-def test_execute_missing_trace_warns_once_and_counts(tmp_path, caplog):
+def test_execute_missing_trace_warns_once(tmp_path, caplog):
     graph = make_graph(["main"], [])
     executor = Executor(graph.ids, tmp_path, CommandLine("quiet", ("@@",)), exec_timeout=2.0,
                         program_exec=["true"])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
-        for _ in range(3):
-            executor.run(b"x")
-    assert executor.missing_traces == 3
+        traces = [executor.run(b"x").trace.reached for _ in range(3)]
+    assert traces == [[]] * 3
     assert sum("trace file missing" in r.message for r in caplog.records) == 1
 
 
@@ -212,8 +215,10 @@ def opted_in_script(text: str, name: str, tmp_path: Path) -> Path:
     return path
 
 
-def outcome(result) -> tuple:
-    return (result.exit_kind, result.crash_class, result.trace.reached, result.stderr_excerpt)
+def outcome(result, workdir: Path) -> tuple:
+    """What one run shows: its result, and the stderr the target left in ``workdir``."""
+    return (result.exit_kind, result.crash_class, result.trace.reached,
+            target_stderr(workdir))
 
 
 def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_program_exec,
@@ -235,9 +240,11 @@ def test_fork_server_matches_spawn_on_mutants(ppm_graph, ppm_command, ppm_progra
     kinds = set()
     try:
         for data in inputs:
-            want = outcome(spawned.run(data))
-            assert outcome(persistent.run(data)) == want, f"persistent, input {data!r}"
-            assert outcome(per_input.run(data)) == want, f"per input, input {data!r}"
+            want = outcome(spawned.run(data), tmp_path / "spawn")
+            assert outcome(persistent.run(data), tmp_path / "persistent") == want, \
+                f"persistent, input {data!r}"
+            assert outcome(per_input.run(data), tmp_path / "per-input") == want, \
+                f"per input, input {data!r}"
             kinds.add((want[0], bool(want[3])))
     finally:
         persistent.close()
@@ -299,9 +306,9 @@ def test_fork_server_exit_status_matches_interpreter(tmp_path):
 
 def test_fork_server_timeout_kills_child_and_serves_on(ppm_graph, tmp_path, started_servers,
                                                       killed_groups):
-    persistent = opted_in_script(toy_path("sleeper").read_text(), "persistent_sleeper",
+    persistent = opted_in_script((TOYS / "sleeper.py").read_text(), "persistent_sleeper",
                                  tmp_path)
-    for script in (toy_path("sleeper"), persistent):
+    for script in (TOYS / "sleeper.py", persistent):
         # no program_exec: the command names its interpreter and script itself
         sleeper = CommandLine(sys.executable, (str(script), "@@"))
         executor = Executor(ppm_graph.ids, tmp_path / script.stem, sleeper, exec_timeout=0.5)
@@ -343,15 +350,19 @@ def counter_executor(persistent: bool, tmp_path: Path) -> Executor:
                     CommandLine("counter", ("@@",)), 5.0, [sys.executable, str(script)])
 
 
-def calls_and_pids(executor: Executor, count: int) -> list[tuple[int, int]]:
-    return [tuple(map(int, executor.run(b"x").stderr_excerpt.split())) for _ in range(count)]
+def calls_and_pids(executor: Executor, count: int, tmp_path: Path) -> list[tuple[int, int]]:
+    runs = []
+    for _ in range(count):
+        executor.run(b"x")
+        runs.append(tuple(map(int, target_stderr(tmp_path / "exec").split())))
+    return runs
 
 
 @pytest.mark.parametrize("persistent", [False, True])
 def test_module_state_carries_over_only_in_a_script_that_opts_in(persistent, tmp_path):
     executor = counter_executor(persistent, tmp_path)
     try:
-        calls = [calls for calls, _ in calls_and_pids(executor, 3)]
+        calls = [calls for calls, _ in calls_and_pids(executor, 3, tmp_path)]
     finally:
         executor.close()
     assert calls == ([1, 2, 3] if persistent else [1, 1, 1])
@@ -360,7 +371,7 @@ def test_module_state_carries_over_only_in_a_script_that_opts_in(persistent, tmp
 def test_persistent_child_is_replaced_after_its_count(tmp_path):
     executor = counter_executor(True, tmp_path)
     try:
-        runs = calls_and_pids(executor, forkserver.PERSISTENT_INPUTS + 2)
+        runs = calls_and_pids(executor, forkserver.PERSISTENT_INPUTS + 2, tmp_path)
     finally:
         executor.close()
     pids = [pid for _, pid in runs]
@@ -383,7 +394,8 @@ def test_idle_child_killed_between_inputs_shifts_no_result(
         os.kill(idle[0], signal.SIGKILL)  # a child this test's executor started
         assert processes_end(idle)
         for data in (PPM_SEED, PPM_CRASH, b"not a ppm"):
-            assert outcome(persistent.run(data)) == outcome(spawned.run(data)), data
+            assert (outcome(persistent.run(data), tmp_path / "persistent")
+                    == outcome(spawned.run(data), tmp_path / "spawn")), data
         assert len(started_servers) == 1  # the same helper served on
         idle = [server.child]
         assert idle[0] is not None and idle[0] in children_of(server.proc.pid)
@@ -407,7 +419,8 @@ def test_spare_killed_while_waiting_shifts_no_result(
         assert processes_end([spare])
         # the crash ends the idle child, so the dead spare is the next one handed over
         for data in (PPM_SEED, PPM_CRASH, b"not a ppm"):
-            assert outcome(persistent.run(data)) == outcome(spawned.run(data)), data
+            assert (outcome(persistent.run(data), tmp_path / "persistent")
+                    == outcome(spawned.run(data), tmp_path / "spawn")), data
         assert len(started_servers) == 1  # the same helper served on
         assert_reaped(server.proc.pid, spare)
     finally:
@@ -480,7 +493,10 @@ def test_next_child_is_alive_before_the_input_ends(tmp_path, started_servers):
     executor = Executor(make_graph(["main"], []).ids, tmp_path / "exec",
                         CommandLine("siblings", ("@@",)), 5.0, [sys.executable, str(script)])
     try:
-        runs = [executor.run(b"x").stderr_excerpt.split() for _ in range(5)]
+        runs = []
+        for _ in range(5):
+            executor.run(b"x")
+            runs.append(target_stderr(tmp_path / "exec").split())
     finally:
         executor.close()
     assert started_servers[0] is not None
@@ -491,37 +507,60 @@ def test_next_child_is_alive_before_the_input_ends(tmp_path, started_servers):
 
 
 CORE_SCRIPT = """\
-import os, resource, sys
+import os, resource, subprocess, sys
 from reachfuzz.campaign import Executor
 from reachfuzz.seedgen import CommandLine
+
+
+def cores(directory):
+    return sorted(name for name in os.listdir(directory) if name.startswith("core"))
+
 
 toy, crash = sys.argv[1], bytes.fromhex(sys.argv[2])
 _, hard = resource.getrlimit(resource.RLIMIT_CORE)
 resource.setrlimit(resource.RLIMIT_CORE, (hard, hard))
+# the control: the same crash, started without reachfuzz, in a directory of its own
+os.mkdir("control")
+with open("control/input.bin", "wb") as fh:
+    fh.write(crash)
+subprocess.run([sys.executable, toy, "input.bin"], cwd="control", stderr=subprocess.DEVNULL)
+print("control", cores("control"))
 for fork_server in (True, False):
     executor = Executor({"main": 0}, f"exec-{fork_server}", CommandLine("ppm", ("@@",)), 5.0,
                         [sys.executable, toy], fork_server=fork_server)
     result = executor.run(crash)
     executor.close()
-    print(result.exit_kind, result.crash_class,
-          sorted(name for name in os.listdir() if name.startswith("core")))
+    print(result.exit_kind, result.crash_class, cores("."))
 """
 
 
 def test_fork_server_target_dumps_no_core(tmp_path):
+    # both backends; the soft limit is raised in a process the test starts, not in
+    # the test runner
     if resource.getrlimit(resource.RLIMIT_CORE)[1] == 0:
         pytest.skip("the hard core-size limit is 0, so no target can dump core")
-    # the soft limit is raised in a process the test starts, not in the test runner
     done = subprocess.run(
         [sys.executable, "-c", CORE_SCRIPT, str(toy_path("ppmcheck")), PPM_CRASH.hex()],
         cwd=tmp_path, capture_output=True, text=True, timeout=60,
         env=dict(os.environ, PYTHONPATH=str(Path(campaign.__file__).parents[1])))
     assert done.returncode == 0, done.stderr
-    fork_server, spawned = done.stdout.splitlines()
-    assert fork_server == "crash SIGSEGV []"
-    if spawned == "crash SIGSEGV []":
-        pytest.skip("a spawned crash left no core file in its cwd on this host either")
-    assert spawned.startswith("crash SIGSEGV ['core")  # spawned targets keep the soft limit
+    control, fork_server, spawned = done.stdout.splitlines()
+    if control == "control []":
+        pytest.skip("a crash started without reachfuzz left no core file on this host either")
+    assert control.startswith("control ['core")
+    assert fork_server == spawned == "crash SIGSEGV []"
+
+
+def test_piped_core_pattern_warns(tmp_path, monkeypatch, caplog):
+    pattern = tmp_path / "core_pattern"
+    monkeypatch.setattr(campaign.process, "CORE_PATTERN", str(pattern))
+    for text, warned in (("core\n", False), ("|/usr/lib/systemd/systemd-coredump %P\n", True)):
+        pattern.write_text(text)
+        caplog.clear()
+        with caplog.at_level(logging.WARNING, logger="reachfuzz.process"):
+            campaign.process._no_core_dumps.__wrapped__()  # past the once-only cache
+        assert ("ignores the core-size limit" in caplog.text) == warned
+    assert resource.getrlimit(resource.RLIMIT_CORE)[0] == 0
 
 
 INPUT_SCRIPT = """\
@@ -549,8 +588,11 @@ def test_each_input_reaches_the_target_byte_exact(fork_server, tmp_path, started
                         fork_server=fork_server)
     inputs = [b"a longer first input\x00\xff", b"short", b"unlink this", b"after the unlink",
               b"unlink", b"x"]
+    got = []
     try:
-        got = [bytes.fromhex(executor.run(data).stderr_excerpt) for data in inputs]
+        for data in inputs:
+            executor.run(data)
+            got.append(bytes.fromhex(target_stderr(tmp_path / "exec")))
     finally:
         executor.close()
     assert got == inputs
@@ -564,8 +606,8 @@ def child_pids(stderr: str, count: int) -> list[int]:
 
 
 @pytest.mark.parametrize("head, fork_server", [
-    ([sys.executable, str(toy_path("backgrounder"))], True),
-    ([sys.executable, str(toy_path("backgrounder"))], False),
+    ([sys.executable, str(TOYS / "backgrounder.py")], True),
+    ([sys.executable, str(TOYS / "backgrounder.py")], False),
     (["sh", "-c", "sleep 30 & echo child $! >&2; exit 0"], False),
 ], ids=["fork-server", "spawn", "shell"])
 def test_background_child_is_clean_and_ended(head, fork_server, tmp_path, started_servers):
@@ -581,14 +623,14 @@ def test_background_child_is_clean_and_ended(head, fork_server, tmp_path, starte
     assert result.exit_kind == "clean"
     assert elapsed < 1.0  # not held until the child's sleep ends or the timeout
     assert [server is not None for server in started_servers] == [True] * fork_server
-    assert processes_end(child_pids(result.stderr_excerpt, 1))
+    assert processes_end(child_pids(target_stderr(tmp_path), 1))
 
 
 @pytest.mark.parametrize("fork_server", [True, False])
 def test_hanging_forker_times_out_and_leaves_nothing(fork_server, tmp_path, started_servers,
                                                      killed_groups):
     executor = Executor(make_graph(["main"], []).ids, tmp_path, CommandLine("forker", ("@@",)),
-                        1.0, [sys.executable, str(toy_path("forker"))], fork_server=fork_server)
+                        1.0, [sys.executable, str(TOYS / "forker.py")], fork_server=fork_server)
     try:
         result = executor.run(b"anything")
         if fork_server:
@@ -596,7 +638,7 @@ def test_hanging_forker_times_out_and_leaves_nothing(fork_server, tmp_path, star
     finally:
         executor.close()
     assert result.exit_kind == "timeout"
-    assert processes_end(child_pids(result.stderr_excerpt, 2))
+    assert processes_end(child_pids(target_stderr(tmp_path), 2))
 
 
 def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_servers):
@@ -610,14 +652,15 @@ def test_script_without_main_falls_back_to_spawn(tmp_path, caplog, started_serve
     executor = Executor(graph.ids, tmp_path / "exec", CommandLine("nomain", ("@@",)), 5.0,
                         [sys.executable, str(script)])
     with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
-        results = [executor.run(data) for data in (b"one", b"two")]
+        results = [(executor.run(data), target_stderr(tmp_path / "exec"))
+                   for data in (b"one", b"two")]
     executor.close()
     assert started_servers == [None]  # tried once, then every input spawned
     assert "cannot preload" in caplog.text
-    for result, text in zip(results, ("one", "two")):
+    for (result, stderr), text in zip(results, ("one", "two")):
         assert result.exit_kind == "clean"
         assert result.trace.reached == [0]  # nothing left over from the failed preload
-        assert result.stderr_excerpt == f"read {text}\n"
+        assert stderr == f"read {text}\n"
 
 
 def test_close_and_campaign_end_stop_fork_servers(
@@ -670,10 +713,10 @@ def test_target_sees_no_llm_settings(fork_server, tmp_path, monkeypatch, started
                         CommandLine("env", ("@@",)), 5.0, [sys.executable, str(script)],
                         fork_server=fork_server)
     try:
-        result = executor.run(b"x")
+        executor.run(b"x")
     finally:
         executor.close()
-    assert result.stderr_excerpt == "key="
+    assert target_stderr(tmp_path / "exec") == "key="
     assert [server is not None for server in started_servers] == [True] * fork_server
 
 
@@ -901,7 +944,7 @@ def test_run_persists_refreshed_program_with_trial(tmp_path, ppm_graph, ppm_comm
     def rebuild(prior, runner):
         report = TrialReport(execs_per_sec=50.0, harness_crashes=0,
                              verdict="accepted", execs=25)
-        return MutatorBuild(program, report, list(prior), 0)
+        return MutatorBuild(program, report, list(prior))
 
     config = ppm_campaign_config(ppm_command, duration_limit=1.0, refresh_period=0.3,
                                  stop_on_first=False)
@@ -990,6 +1033,31 @@ def test_llm_rebuild_failure_keeps_program(catalog, tmp_path, ppm_graph, ppm_com
     assert sum(c.count for c in stats.crashes) == stats.total_execs  # still the program
 
 
+def test_failed_refresh_keeps_program_and_campaign(tmp_path, ppm_graph, ppm_command, caplog):
+    from reachfuzz.errors import TaskError
+
+    program = mutator.parse_program(CRASH_PROGRAM)
+    calls = []
+
+    def rebuild(prior, runner):  # a backend failure, then a build
+        calls.append(prior)
+        if len(calls) == 1:
+            raise TaskError("the backend is unreachable")
+        return mutator.MutatorBuild(program, None, list(prior))
+
+    config = ppm_campaign_config(ppm_command, duration_limit=1.5, refresh_period=0.3,
+                                 stop_on_first=False)
+    workdir = tmp_path / "c"
+    with caplog.at_level(logging.WARNING, logger="reachfuzz.campaign"):
+        stats = campaign.run(config, program, ppm_graph.ids, workdir, rebuild=rebuild)
+    assert stats.wall_time >= 1.5  # ran to its duration
+    events = read_events(workdir)
+    assert events[-1]["event"] == "finish"
+    swapped = [e["swapped"] for e in events if e["event"] == "refresh"]
+    assert swapped[:2] == [False, True] and len(swapped) == len(calls) >= 2
+    assert "refresh 1 failed" in caplog.text and "unreachable" in caplog.text
+
+
 def counting_executor_run(monkeypatch, on_call):
     """Patch Executor.run to call ``on_call(n)`` with its call number first."""
     lock = threading.Lock()
@@ -1025,7 +1093,7 @@ def test_refresh_runs_while_other_workers_fuzz(tmp_path, ppm_graph, ppm_command,
         if not refresher:
             refresher.update(ident=threading.get_ident(), others=0)
             waited.append(others_ran.wait(timeout=5.0))
-        return mutator.MutatorBuild(program, None, list(prior), 0)
+        return mutator.MutatorBuild(program, None, list(prior))
 
     config = ppm_campaign_config(ppm_command, duration_limit=1.5, refresh_period=0.2,
                                  stop_on_first=False, workers=2)

@@ -228,7 +228,11 @@ def test_prepare_opt_timeout_reported(demo_config, capsys):
     fixture.write_text(
         head + "match: how should the input be modified\nresponse: ````\n"
         + useless + "\n````\n" + rest, encoding="utf-8")
-    code = cli.main(["prepare", "--config", str(demo_config), "--opt-budget", "1s"])
+    text = demo_config.read_text(encoding="utf-8")
+    assert "opt_budget = 120s\n" in text
+    demo_config.write_text(text.replace("opt_budget = 120s\n", "opt_budget = 1s\n"),
+                           encoding="utf-8")
+    code = cli.main(["prepare", "--config", str(demo_config)])
     assert code == cli.EXIT_OK
     out = capsys.readouterr().out
     assert "Opt:     T.O." in out

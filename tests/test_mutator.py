@@ -6,6 +6,7 @@ import time
 import pytest
 
 from conftest import (PPM_SEED, HarnessFault, declared_growth, dedent, engine_from_rules,
+                      trial_verdicts,
                       random_program)
 from reachfuzz import llm_client, mutator
 from reachfuzz.errors import DslError, TaskError
@@ -453,7 +454,7 @@ def test_budgeted_trial_gives_the_verdict_of_the_time_box(verdict, request, monk
 STRATEGY_RESPONSE = "STRATEGIES:\n- grow declared size :: overruns the buffer"
 
 
-def test_build_mutator_accepts_first_program(catalog):
+def test_build_mutator_accepts_first_program(catalog, caplog):
     engine = engine_from_rules(
         catalog,
         ("Generate fuzzing mutation strategies", STRATEGY_RESPONSE),
@@ -462,11 +463,12 @@ def test_build_mutator_accepts_first_program(catalog):
     build = build_mutator(analysis(), engine, b"seed bytes", fast_runner,
                           trial_duration=0.2)
     assert build.accepted
-    assert build.regenerations == 0
+    assert engine.client.accounting().total_requests == 2  # strategies, one synthesis
+    assert trial_verdicts(caplog) == []
     assert build.trial.verdict == "accepted"
 
 
-def test_build_mutator_regeneration_bound(catalog):
+def test_build_mutator_regeneration_bound(catalog, caplog):
     # every synthesized program is an input-independent no-op, so each trial
     # rejects it and regeneration runs up to its bound, then falls back
     engine = engine_from_rules(
@@ -477,8 +479,8 @@ def test_build_mutator_regeneration_bound(catalog):
     build = build_mutator(analysis(), engine, b"zz", fast_runner,
                           trial_duration=0.1)
     assert not build.accepted
-    assert build.regenerations == 3
-    assert len(build.rejected) == 4  # initial attempt plus three regenerations
+    # initial attempt plus three regenerations, each rejected with its verdict logged
+    assert trial_verdicts(caplog) == ["rejected-invalid"] * 4
     synth_requests = engine.client.accounting().total_requests - 1  # minus strategies
     assert synth_requests == 4
 

@@ -19,8 +19,6 @@ KEPT = {
     "process": "the primitive itself",
     "forkserver": "the stdlib-only helper forks children, each serving one input or many "
                   "in its own group",
-    "toys/backgrounder": "a target that leaves a background child on purpose",
-    "toys/forker": "a target that forks children and hangs on purpose",
 }
 
 

@@ -23,7 +23,7 @@ SETTINGS = {
     "work_dir": "required; the demo workspace and every benchmark workload",
     "fixture_file": "the demo config: the scripted backend of the demo and every workload",
     "program_exec": "the demo config; bench/session.py swaps in the native binary",
-    "opt_budget": "the demo config (120s)",
+    "opt_budget": "the demo config (120s); test_prepare_opt_timeout_reported (1s)",
     "trial_duration": "the demo config (1500ms); test_fuzz_refresh_rebuilds_on_the_worker_executor",
     "campaign_duration": "the demo config (60s)",
     "exec_timeout": "the demo config (2s)",
@@ -33,7 +33,6 @@ SETTINGS = {
     "min_execs_per_sec": "operator: the trial's throughput floor for a slow target",
     # CLI flags
     "prepare --config": "required; every prepare",
-    "prepare --opt-budget": "test_prepare_opt_timeout_reported",
     "prepare --force": "bench/session.py prepares again in one work dir",
     "fuzz --config": "required; every fuzz",
     "fuzz --duration": "bench/session.py caps every fuzz command; the demo's printed steps",

@@ -297,10 +297,9 @@ def test_execute_task_repair_prompt_carries_error():
 def test_execute_task_exhausts_repairs():
     template = simple_template(attachment_slots=(), task_text="Say hi.")
     client = client_from_rules(("Say hi.", "never parseable"))
-    with pytest.raises(TaskError) as err:
+    with pytest.raises(TaskError):
         execute_task(template, {}, client)
     assert client.accounting().total_requests == 4  # 1 + DEFAULT_MAX_REPAIRS
-    assert len(err.value.raw_responses) == 4
 
 
 @pytest.mark.parametrize("max_repairs", [0, 1, 2, 3])

@@ -16,6 +16,7 @@ import dataclasses
 import hashlib
 import json
 import logging
+import math
 import os
 import random
 import re
@@ -101,12 +102,10 @@ def load_config(path: str | Path) -> ProjectConfig:
             kwargs[key] = (base / value).resolve() if not Path(value).is_absolute() else Path(value)
         elif key in _DURATION_KEYS:
             kwargs[key] = parse_duration(value)
-        elif key == "mix_ratio":
+        elif key in ("mix_ratio", "min_execs_per_sec"):
             kwargs[key] = float(value)
         elif key == "rng_seed":
             kwargs[key] = int(value)
-        elif key == "min_execs_per_sec":
-            kwargs[key] = float(value)
         elif key == "program_exec":
             kwargs[key] = value
         else:
@@ -121,6 +120,10 @@ def load_config(path: str | Path) -> ProjectConfig:
     for key in _DURATION_KEYS:
         if getattr(config, key) <= 0:
             raise ValueError(f"{path}: {key} must be positive")
+    if not 0.0 <= config.mix_ratio <= 1.0:
+        raise ValueError(f"{path}: mix_ratio must be in [0, 1]")
+    if not 0.0 <= config.min_execs_per_sec < math.inf:
+        raise ValueError(f"{path}: min_execs_per_sec must be finite and not negative")
     return config
 
 

@@ -15,7 +15,7 @@ import time
 import typing
 from dataclasses import dataclass, fields
 
-from .errors import DslError, TaskError
+from .errors import AnswerParseError, DslError, TaskError
 from .query_engine import Engine
 from .llm_client import TEMPERATURE_GENERATION
 
@@ -25,8 +25,6 @@ DEFAULT_REFRESH_PERIOD = 3600.0
 DEFAULT_TRIAL_DURATION = 5.0
 TRIAL_EXECS = 100  # a trial stops after this many execs, or at its duration
 DEFAULT_MIN_EXECS_PER_SEC = 10.0
-MAX_REGENERATIONS = 3
-SYNTHESIS_REPAIRS = 3
 
 LE_WIDTHS = (1, 2, 4, 8)
 
@@ -544,13 +542,12 @@ def _run_strategy_task(engine: Engine, fillers: dict[str, str],
     return strategies
 
 
-def synthesize(strategies: list[MutationStrategy], engine: Engine,
-               feedback: str = "") -> MutationProgram:
-    """Turn strategies into a parsed, grammar-valid mutation program.
+def synthesize(strategies: list[MutationStrategy], engine: Engine, check=None):
+    """Turn strategies into a parsed, grammar-valid mutation program, or into
+    ``check(program)``'s value when a check is given.
 
-    Parse failures feed the repair loop, bounded at ``SYNTHESIS_REPAIRS``
-    rounds, with the offending code and the parser's error text. The
-    answer's ``STRATEGY_REFS`` field is requested but not used.
+    A program the parser or ``check`` rejects is asked for again with the
+    error, within the query engine's repair bound.
     """
     if not strategies:
         raise ValueError("at least one strategy is required")
@@ -558,29 +555,26 @@ def synthesize(strategies: list[MutationStrategy], engine: Engine,
         "strategies": "\n".join(f"{i + 1}. {s.render()}" for i, s in enumerate(strategies)),
         "grammar": GRAMMAR_HELP,
         "worked_examples": WORKED_EXAMPLES,
-        "feedback": feedback or "(none)",
     }
-    answer = engine.run("mutator_synthesis", fillers, temperature=TEMPERATURE_GENERATION)
-    raw_programs = [answer.text("program")]
-    for _ in range(SYNTHESIS_REPAIRS + 1):
+
+    def usable(answer):
+        text = answer.text("program")
         try:
-            return parse_program(raw_programs[-1])
+            program = parse_program(text)
         except DslError as exc:
-            if len(raw_programs) > SYNTHESIS_REPAIRS:
-                break
-            repair = engine.run(
-                "mutator_repair",
-                {"original_program": raw_programs[-1], "parse_error": str(exc),
-                 "grammar": GRAMMAR_HELP},
-                temperature=TEMPERATURE_GENERATION,
-            )
-            raw_programs.append(repair.text("program"))
-    raise TaskError("mutation program synthesis exhausted its repair budget")
+            raise AnswerParseError(
+                f"the program was rejected by the mutation-language parser: {exc}. "
+                "Fix only what the error reports; keep every other operation unchanged.\n"
+                f"The rejected program:\n```\n{text}\n```") from None
+        return program if check is None else check(program)
+
+    return engine.run("mutator_synthesis", fillers, temperature=TEMPERATURE_GENERATION,
+                      check=usable)
 
 
 @dataclass
 class MutatorBuild:
-    """Outcome of one synthesize-trial-regenerate pipeline run."""
+    """Outcome of one synthesize-and-trial pipeline run."""
 
     program: MutationProgram | None
     trial: TrialReport | None
@@ -596,27 +590,24 @@ def build_mutator(analysis: BugAnalysis, engine: Engine, seed_bytes: bytes, runn
                   trial_duration: float = DEFAULT_TRIAL_DURATION,
                   min_execs_per_sec: float = DEFAULT_MIN_EXECS_PER_SEC,
                   rng: random.Random | None = None) -> MutatorBuild:
-    """Propose strategies, synthesize, trial; regenerate on rejection.
+    """Propose strategies, then synthesize programs until one passes its trial.
 
-    Each rejected program is logged with its verdict. After
-    ``MAX_REGENERATIONS`` rejected programs the build gives up and the
-    campaign falls back to random-only mutation with a warning.
+    Each program the trial rejects is logged with its verdict and asked for
+    again, within the query engine's repair bound. When no program is usable
+    the campaign falls back to random-only mutation with a warning.
     """
     strategies = propose_strategies(analysis, engine, prior=prior)
-    feedback = ""
-    for attempt in range(1 + MAX_REGENERATIONS):
-        try:
-            program = synthesize(strategies, engine, feedback=feedback)
-        except TaskError:
-            log.warning("mutator synthesis failed; falling back to random-only mutation")
-            return MutatorBuild(None, None, strategies)
+
+    def trial(program: MutationProgram) -> MutatorBuild:
         report = trial_run(program, seed_bytes, runner, duration=trial_duration,
                            min_execs_per_sec=min_execs_per_sec, rng=rng)
-        if report.accepted:
-            return MutatorBuild(program, report, strategies)
-        log.warning("mutation program %d of %d failed its trial: %s", attempt + 1,
-                    1 + MAX_REGENERATIONS, report.verdict)
-        feedback = (f"The previous program was rejected ({report.verdict}). "
-                    "Generate a replacement mutator.")
-    log.warning("all synthesized mutators were rejected; falling back to random-only mutation")
-    return MutatorBuild(None, None, strategies)
+        if not report.accepted:
+            log.warning("mutation program failed its trial: %s", report.verdict)
+            raise AnswerParseError(f"the trial rejected the program: {report.verdict}")
+        return MutatorBuild(program, report, strategies)
+
+    try:
+        return synthesize(strategies, engine, check=trial)
+    except TaskError as exc:
+        log.warning("falling back to random-only mutation: %s", exc)
+        return MutatorBuild(None, None, strategies)

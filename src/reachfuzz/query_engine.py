@@ -2,8 +2,9 @@
 
 Each pipeline task is described by a template with four labeled sections.
 Rendering produces one self-contained prompt; parsing extracts the labeled
-fields the answer template demanded. Parse failures trigger a bounded repair
-loop that re-queries with the error appended as an extra suggestion.
+fields the answer template demanded. An answer that does not parse, or that
+the caller's check rejects, triggers the one bounded repair loop of every
+task, which re-queries with the error appended as an extra suggestion.
 """
 
 from __future__ import annotations
@@ -276,12 +277,14 @@ def _is_empty(value) -> bool:
 def execute_task(template: QueryTemplate, fillers: dict[str, str], client: LlmClient,
                  max_repairs: int = DEFAULT_MAX_REPAIRS,
                  temperature: float = TEMPERATURE_EXTRACTION,
-                 extra_suggestion: str = "") -> StructuredAnswer:
-    """Render, complete, and parse; repair on parse failure.
+                 extra_suggestion: str = "", check=None):
+    """Render, complete, parse and check; repair on failure.
 
-    Each repair re-renders the same self-contained prompt with the parse
-    error appended as one more suggestion, so the request count per task is
-    bounded by 1 + max_repairs.
+    ``check(answer)``, if given, turns the parsed answer into the value
+    returned, or raises ``AnswerParseError`` when the answer cannot be used.
+    Each repair re-renders the same self-contained prompt with the parse or
+    check error appended as one more suggestion, so the request count per
+    task is bounded by 1 + max_repairs.
     """
     error_note = ""
     for _ in range(1 + max_repairs):
@@ -289,13 +292,16 @@ def execute_task(template: QueryTemplate, fillers: dict[str, str], client: LlmCl
         prompt = render(template, fillers, note)
         response = client.complete(LlmRequest(prompt_text=prompt, temperature_hint=temperature))
         try:
-            return parse(template.answer_schema, response.text)
+            answer = parse(template.answer_schema, response.text)
         except AnswerParseError as exc:
-            error_note = (
-                "Your previous reply could not be used: "
-                f"{exc}. Follow the answer template exactly."
-            )
-    raise TaskError(f"task {template.task_id} failed after {1 + max_repairs} attempts")
+            error, advice = exc, ". Follow the answer template exactly."
+        else:
+            try:
+                return answer if check is None else check(answer)
+            except AnswerParseError as exc:
+                error, advice = exc, ""
+        error_note = f"Your previous reply could not be used: {error}{advice}"
+    raise TaskError(f"task {template.task_id} failed after {1 + max_repairs} attempts: {error}")
 
 
 class Engine:
@@ -307,12 +313,12 @@ class Engine:
 
     def run(self, task_id: str, fillers: dict[str, str],
             temperature: float = TEMPERATURE_EXTRACTION,
-            extra_suggestion: str = "") -> StructuredAnswer:
+            extra_suggestion: str = "", check=None):
         template = self.catalog.get(task_id)
         if template is None:
             raise TemplateError(f"no template for task {task_id!r}")
         return execute_task(template, fillers, self.client, temperature=temperature,
-                            extra_suggestion=extra_suggestion)
+                            extra_suggestion=extra_suggestion, check=check)
 
 
 _SECTIONS = ("TASK", "ATTACHMENTS", "SUGGESTION", "ANSWER")

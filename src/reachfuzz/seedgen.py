@@ -22,7 +22,7 @@ from pathlib import Path
 
 from . import callgraph, process
 from .callgraph import CallChain, CallGraph
-from .errors import MaterializeError, TaskError
+from .errors import AnswerParseError, MaterializeError, TaskError
 from .llm_client import TEMPERATURE_GENERATION, child_environment
 from .query_engine import Engine
 
@@ -40,8 +40,6 @@ FILE_LIMIT_NOTE = (f"script files, stdout included, are capped at {SCRIPT_FILE_L
                    "it a write fails with 'File too large', or SIGXFSZ kills the runtime")
 SCRIPT_ERROR_LIMIT = 4096  # bytes of a script's stderr, its end, kept for the repair prompt
 INPUT_DUMP_LIMIT = 4096
-COMMAND_RETRIES = 3
-SCRIPT_REPAIRS = 3
 
 
 @dataclass(frozen=True)
@@ -131,34 +129,29 @@ def parse_command_line(text: str) -> CommandLine:
 def select_command(bug_info, usage, target_summary, engine: Engine) -> CommandLine:
     """Pick the command line most likely to activate the target function.
 
-    Answers naming option flags absent from the program usage are rejected
-    and re-queried with the known flags listed, up to ``COMMAND_RETRIES`` times.
+    An answer that is not a command line with one ``@@``, or that names
+    option flags absent from the program usage, is asked for again with the
+    reason, within the query engine's repair bound.
     """
     known_flags = {_flag_base(flag) for flag in usage.flags()}
     fillers = {
         "program_usage": usage.render(),
         "target_function_summary": target_summary.render(),
     }
-    note = ""
-    last_error = ""
-    for _ in range(1 + COMMAND_RETRIES):
-        answer = engine.run("command_selection", fillers, extra_suggestion=note)
-        text = answer.text("command")
+
+    def usable(answer) -> CommandLine:
         try:
-            command = parse_command_line(text)
+            command = parse_command_line(answer.text("command"))
         except ValueError as exc:
-            last_error = str(exc)
-            note = f"The previous command was unusable: {exc}. Give program, options, and one @@."
-            continue
+            raise AnswerParseError(f"{exc}. Give program, options, and one @@.") from None
         unknown = [t for t in command.args
                    if t.startswith("-") and _flag_base(t) not in known_flags]
         if unknown:
-            last_error = f"unknown options {unknown}"
-            note = ("These options are not in the program usage: "
-                    + " ".join(unknown) + ". Use only listed options.")
-            continue
+            raise AnswerParseError("these options are not in the program usage: "
+                                   + " ".join(unknown) + ". Use only listed options.")
         return replace(command, description=answer.text("description"))
-    raise TaskError(f"command selection kept producing invalid commands: {last_error}")
+
+    return engine.run("command_selection", fillers, check=usable)
 
 
 def _spec_from_answer(answer, payload_field: str) -> GeneratorSpec:
@@ -209,7 +202,8 @@ def _runtime_argv(runtime_label: str) -> list[str]:
 
 def _run_script(payload: str, runtime_label: str, sandbox: Path) -> tuple[bytes, str]:
     """Run a generator script in the sandbox dir, with no ``RF_LLM_*`` name in
-    its environment, under ``SCRIPT_LIMITS``; returns (stdout, stderr)."""
+    its environment, under ``SCRIPT_LIMITS``; returns its stdout and the error
+    that an empty stdout reports."""
     sandbox.mkdir(parents=True, exist_ok=True)
     script = sandbox / "generator.py"
     script.write_text(payload, encoding="utf-8")
@@ -229,7 +223,7 @@ def _run_script(payload: str, runtime_label: str, sandbox: Path) -> tuple[bytes,
         return b"", f"{stderr}\n{FILE_LIMIT_NOTE}".lstrip()
     if returncode != 0:
         return b"", stderr or f"generator script exited {returncode}"
-    return out_path.read_bytes(), stderr
+    return out_path.read_bytes(), stderr or "generator script produced no output"
 
 
 _CUT_NOTE = "[first {} bytes cut]\n"
@@ -253,8 +247,9 @@ def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None 
                 input_expectations: str = "") -> bytes:
     """Turn a generator spec into input bytes.
 
-    Script errors are fed back through the query engine for repair, bounded
-    at ``SCRIPT_REPAIRS`` rounds; without an engine the first failure is final.
+    A failing script goes, with its error, to one ``generator_repair`` task
+    whose check runs each revised script; without an engine the first failure
+    is final.
     """
     if spec.kind == "literal":
         data = _decode_literal(spec)
@@ -262,26 +257,27 @@ def materialize(spec: GeneratorSpec, sandbox: str | Path, engine: Engine | None 
             raise MaterializeError("literal payload decoded to zero bytes")
         return data
     sandbox = Path(sandbox)
-    payload = spec.payload
-    for attempt in range(1 + SCRIPT_REPAIRS):
-        output, stderr = _run_script(payload, spec.runtime_label, sandbox)
-        if output:
-            return output
-        error = stderr or "generator script produced no output"
-        if engine is None or attempt == SCRIPT_REPAIRS:
-            break
-        try:
-            answer = engine.run(
-                "generator_repair",
-                {"script": payload, "error_output": error,
-                 "runtime": spec.runtime_label,
-                 "input_expectations": input_expectations or "(none)"},
-                temperature=TEMPERATURE_GENERATION,
-            )
-        except TaskError:
-            break
+    output, error = _run_script(spec.payload, spec.runtime_label, sandbox)
+    if output:
+        return output
+    if engine is None:
+        raise MaterializeError(f"generator script never produced output: {error}")
+
+    def runs(answer) -> bytes:
         payload = answer.text("payload")
-    raise MaterializeError(f"generator script never produced output: {error}")
+        data, failure = _run_script(payload, spec.runtime_label, sandbox)
+        if not data:
+            raise AnswerParseError(f"the revised script failed too:\n{failure}\n"
+                                   f"The revised script:\n```\n{payload}\n```")
+        return data
+
+    fillers = {"script": spec.payload, "error_output": error, "runtime": spec.runtime_label,
+               "input_expectations": input_expectations or "(none)"}
+    try:
+        return engine.run("generator_repair", fillers, temperature=TEMPERATURE_GENERATION,
+                          check=runs)
+    except TaskError as exc:
+        raise MaterializeError(f"generator script never produced output: {exc}") from None
 
 
 # --- optimization loops ---------------------------------------------------------

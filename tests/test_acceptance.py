@@ -184,9 +184,9 @@ def test_prepare_end_to_end(tmp_path, ppm_executor):
 def test_mutator_repair_then_accept(catalog, ppm_runner):
     engine = engine_from_rules(
         catalog,
-        ("Translate the mutation strategies", "PROGRAM:\n```\nNotAnOp(1)\n```"),
         ("rejected by the mutation-language parser",
          "PROGRAM:\n```\nOverwrite(3, 39)\n```"),
+        ("Translate the mutation strategies", "PROGRAM:\n```\nNotAnOp(1)\n```"),
     )
     program = mutator.synthesize([MutationStrategy("grow the width digit", "")], engine)
     assert engine.client.accounting().total_requests == 2

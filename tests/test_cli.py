@@ -78,6 +78,24 @@ def test_load_config_missing_path(tmp_path):
         load_config(path)
 
 
+@pytest.mark.parametrize("key, value", [
+    ("mix_ratio", "2"), ("mix_ratio", "-0.1"), ("mix_ratio", "nan"),
+    ("min_execs_per_sec", "-1"), ("min_execs_per_sec", "nan"), ("min_execs_per_sec", "inf"),
+])
+def test_load_config_rejects_out_of_range_values(tmp_path, key, value):
+    # nan passed before: every trial compares eps < nan, which is false
+    path = tmp_path / "p.conf"
+    path.write_text(dedent(f"""
+        corpus_root = .
+        graph_file = p.conf
+        bug_report_file = p.conf
+        work_dir = work
+        {key} = {value}
+    """), encoding="utf-8")
+    with pytest.raises(ValueError, match=key):
+        load_config(path)
+
+
 def test_prepare_fuzz_report_round_trip(demo_config, capsys):
     assert cli.main(["prepare", "--config", str(demo_config)]) == EXIT_OK
     work = demo_config.parent / "work"

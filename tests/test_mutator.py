@@ -291,7 +291,7 @@ def test_propose_strategies_refresh_accepts_new(catalog):
     assert strategies[0].description == "brand new"
 
 
-SYNTH_OK = "PROGRAM:\n```\nSetByte(0, 0x41)\nFlipBit(1, 0)\n```\nSTRATEGY_REFS: 1"
+SYNTH_OK = "PROGRAM:\n```\nSetByte(0, 0x41)\nFlipBit(1, 0)\n```"
 
 
 def test_synthesize_parses_program(catalog):
@@ -303,8 +303,8 @@ def test_synthesize_parses_program(catalog):
 def test_synthesize_repairs_bad_program(catalog):
     engine = engine_from_rules(
         catalog,
-        ("Translate the mutation strategies", "PROGRAM:\n```\nBogusOp(1)\n```"),
         ("rejected by the mutation-language parser", "PROGRAM:\n```\nSetByte(0, 1)\n```"),
+        ("Translate the mutation strategies", "PROGRAM:\n```\nBogusOp(1)\n```"),
     )
     program = synthesize([MutationStrategy("s", "r")], engine)
     assert engine.client.accounting().total_requests == 2
@@ -314,8 +314,8 @@ def test_synthesize_repairs_bad_program(catalog):
 def test_synthesize_repairs_a_leading_zero_literal(catalog):
     engine = engine_from_rules(
         catalog,
-        ("Translate the mutation strategies", "PROGRAM:\n```\nSetByte(01, 0xFF)\n```"),
         ("rejected by the mutation-language parser", "PROGRAM:\n```\nSetByte(1, 0xFF)\n```"),
+        ("Translate the mutation strategies", "PROGRAM:\n```\nSetByte(01, 0xFF)\n```"),
     )
     program = synthesize([MutationStrategy("s", "r")], engine)
     assert engine.client.accounting().total_requests == 2
@@ -325,8 +325,8 @@ def test_synthesize_repairs_a_leading_zero_literal(catalog):
 def test_synthesize_exhausts_repairs(catalog):
     engine = engine_from_rules(
         catalog,
-        ("Translate the mutation strategies", "PROGRAM:\n```\nBogusOp(1)\n```"),
         ("rejected by the mutation-language parser", "PROGRAM:\n```\nStillBogus(2)\n```"),
+        ("Translate the mutation strategies", "PROGRAM:\n```\nBogusOp(1)\n```"),
     )
     with pytest.raises(TaskError):
         synthesize([MutationStrategy("s", "r")], engine)

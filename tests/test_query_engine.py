@@ -7,8 +7,11 @@ from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from conftest import client_from_rules, dedent, engine_from_rules, format_answer
-from reachfuzz.errors import AnswerParseError, TaskError, TemplateError
+from reachfuzz import llm_client, mutator, seedgen
+from reachfuzz.errors import AnswerParseError, MaterializeError, TaskError, TemplateError
+from reachfuzz.knowledge import FunctionSummary, ProgramUsage
 from reachfuzz.query_engine import (
+    DEFAULT_MAX_REPAIRS,
     AnswerField,
     AnswerSchema,
     AttachmentSlot,
@@ -22,7 +25,7 @@ from reachfuzz.query_engine import (
 EXPECTED_TASKS = {
     "bug_info", "program_usage", "function_summary", "command_selection",
     "preliminary_seed", "chain_step", "neighbor_probe", "bug_analysis",
-    "strategy_proposal", "mutator_synthesis", "mutator_repair", "generator_repair",
+    "strategy_proposal", "mutator_synthesis", "generator_repair",
 }
 
 
@@ -309,6 +312,65 @@ def test_request_bound_property(max_repairs):
     with pytest.raises(TaskError):
         execute_task(template, {}, client, max_repairs=max_repairs)
     assert client.accounting().total_requests == 1 + max_repairs
+
+
+class CleanRun:
+    exit_kind = "clean"
+
+
+STRATEGIES = ("Generate fuzzing mutation strategies", "STRATEGIES:\n- grow the size :: overrun")
+# caller -> (fixture rules whose last is the checked task's, a call that can
+# never get a usable answer, what it raises or None, the error each repair names)
+NEVER_USABLE = {
+    "select_command": (
+        [("most likely to activate the target function",
+          "COMMAND: prog --never-valid @@\nDESCRIPTION: nope.")],
+        lambda engine, tmp_path: seedgen.select_command(
+            None, ProgramUsage("prog", [("input-file", "the input")], ""),
+            FunctionSummary("f", "does f", [], []), engine),
+        TaskError, "these options are not in the program usage: --never-valid"),
+    "synthesize": (
+        [("Translate the mutation strategies", "PROGRAM:\n```\nBogusOp(1)\n```")],
+        lambda engine, tmp_path: mutator.synthesize([mutator.MutationStrategy("s")], engine),
+        TaskError, "unknown operation 'BogusOp'"),
+    "build_mutator": (
+        # a no-op on b"zz", so every trial rejects it
+        [STRATEGIES, ("Translate the mutation strategies", "PROGRAM:\n```\nSetByte(0, 0x7a)\n```")],
+        lambda engine, tmp_path: mutator.build_mutator(
+            mutator.BugAnalysis("overflow", [], []), engine, b"zz", lambda data: CleanRun(),
+            trial_duration=0.1),
+        None, "the trial rejected the program: rejected-invalid"),
+    "materialize": (
+        [("input-generator script below failed",
+          "PAYLOAD:\n```\nraise RuntimeError('still broken')\n```")],
+        lambda engine, tmp_path: seedgen.materialize(
+            seedgen.GeneratorSpec("script", "raise RuntimeError('broken')\n"), tmp_path, engine),
+        MaterializeError, "RuntimeError: still broken"),
+}
+
+
+@pytest.mark.parametrize("caller", sorted(NEVER_USABLE))
+def test_every_repair_loop_sends_the_bound(caller, catalog, tmp_path, monkeypatch):
+    rules, call, raises, error = NEVER_USABLE[caller]
+    prompts = []
+    complete = llm_client.ScriptedBackend.complete
+
+    def recording(self, request):
+        prompts.append(request.prompt_text)
+        return complete(self, request)
+
+    monkeypatch.setattr(llm_client.ScriptedBackend, "complete", recording)
+    engine = engine_from_rules(catalog, *rules)
+    if raises is None:
+        assert not call(engine, tmp_path).accepted
+    else:
+        with pytest.raises(raises, match=f"failed after {1 + DEFAULT_MAX_REPAIRS} attempts"):
+            call(engine, tmp_path)
+    task = [p for p in prompts if rules[-1][0] in p]
+    assert len(task) == 1 + DEFAULT_MAX_REPAIRS
+    assert "could not be used" not in task[0]
+    for prompt in task[1:]:
+        assert "could not be used" in prompt and error in prompt
 
 
 def test_tasks_self_contained_under_shuffled_order(catalog):

@@ -84,9 +84,10 @@ def test_select_command_gives_up_after_bound(catalog):
         "most likely to activate the target function",
         "COMMAND: readelf --never-valid @@\nDESCRIPTION: nope.",
     ))
-    with pytest.raises(TaskError, match="invalid commands"):
+    with pytest.raises(TaskError, match=r"command_selection failed after 4 attempts: "
+                                        r"these options .*--never-valid"):
         select_command(readelf_bug(), readelf_usage(), frame_summary(), engine)
-    assert engine.client.accounting().total_requests == 4  # 1 + COMMAND_RETRIES
+    assert engine.client.accounting().total_requests == 4  # 1 + DEFAULT_MAX_REPAIRS
 
 
 def test_parse_command_line_errors():
@@ -174,7 +175,7 @@ def test_materialize_script_repair_bound(catalog, tmp_path):
     spec = GeneratorSpec("script", "raise RuntimeError('broken')\n")
     with pytest.raises(MaterializeError, match="never produced output"):
         materialize(spec, tmp_path / "sb", engine)
-    assert engine.client.accounting().total_requests == 3  # SCRIPT_REPAIRS
+    assert engine.client.accounting().total_requests == 4  # 1 + DEFAULT_MAX_REPAIRS
 
 
 def test_repair_prompt_gets_the_end_of_a_flood_of_stderr(catalog, tmp_path):

@@ -1,17 +1,21 @@
-"""Pin the recorded values that no code in the package reads.
+"""Pin the recorded values, and the answer fields, that no code in the package reads.
 
 A dataclass field, or an attribute an ``__init__`` sets on ``self``, that no
 ``src/`` code reads as an attribute is written and never used, unless a file
-keeps it for a reader outside the package. The scan walks the package's syntax
-trees. The ones kept are listed below with the reason each stays.
+keeps it for a reader outside the package. An answer field of a template that
+no ``src/`` code names in a string is asked for, paid for and never used. The
+scans walk the package's syntax trees. The ones kept are listed below with the
+reason each stays.
 """
 
 from __future__ import annotations
 
 import ast
+import re
 from pathlib import Path
 
 import reachfuzz
+from reachfuzz.query_engine import load_catalog
 
 TRIAL_FILES = "prepare/mutator/trial.json and fuzz/mutators/active-<n>.trial.json"
 ITEM_9 = "ROADMAP item 9 writes the backend usage to llm_usage.json"
@@ -30,6 +34,9 @@ KEPT = {
     "mutator.TrialReport.harness_crashes": TRIAL_FILES,
     "mutator.TrialReport.target_crashes": TRIAL_FILES,
 }
+
+# task.field -> the reason an answer field that no code reads is still asked for
+KEPT_FIELDS: dict[str, str] = {}
 
 
 def _is_dataclass(node: ast.ClassDef) -> bool:
@@ -73,3 +80,24 @@ def write_only_values(package: Path) -> set[str]:
 def test_write_only_values_are_the_kept_ones():
     package = Path(reachfuzz.__file__).parent
     assert write_only_values(package) == set(KEPT)
+
+
+def unread_answer_fields(package: Path) -> set[str]:
+    """Each ``task.field`` of the catalog whose name no string in the package
+    equals; ``candidate_<i>`` is read as ``f"candidate_{i}"``, whose constant
+    part is ``candidate_``."""
+    strings = {node.value for path in sorted(package.rglob("*.py"))
+               for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+               if isinstance(node, ast.Constant) and isinstance(node.value, str)}
+    unread = set()
+    for task, template in load_catalog().items():
+        for field in template.answer_schema.fields:
+            name = re.sub(r"^candidate_\d+$", "candidate_", field.name)
+            if name not in strings:
+                unread.add(f"{task}.{field.name}")
+    return unread
+
+
+def test_unread_answer_fields_are_the_kept_ones():
+    package = Path(reachfuzz.__file__).parent
+    assert unread_answer_fields(package) == set(KEPT_FIELDS)
